@@ -19,7 +19,6 @@ from .errors import (
     NonpositiveColumn,
     NonpositiveEigenvector,
     NonUnitVector,
-    NumericalOverflow,
     OversmoothError,
     ParseError,
     RatioUnderflow,

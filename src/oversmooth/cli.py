@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import os
 import sys
 
 from . import errors, experiments, graph, hilbert, metrics, pipeline, propagate
@@ -36,7 +35,6 @@ _NUMERIC_ERRORS = (
     errors.ConvergenceFailure,
     errors.DegenerateSpectrum,
     errors.ZeroMatrix,
-    errors.NumericalOverflow,
     errors.EigenvectorMismatch,
     errors.AllSamplesDegenerate,
     errors.RatioUnderflow,
@@ -78,16 +76,8 @@ def _resolve_graph(args) -> graph.Graph:
     return graph.barabasi_albert(n, m, subseed(args.seed, 0))
 
 
-def _direction(name: str, g: graph.Graph):
-    if name == "gcn":
-        return graph.gcn_dominant_eigenvector(g)
-    if name == "const":
-        return graph.constant_unit_vector(g.n)
-    u = pipeline.load_vector(name)
-    norm = float(u @ u) ** 0.5
-    if norm == 0.0:
-        raise errors.InvalidParameter(f"direction file {name} holds a zero vector")
-    return u / norm
+def _report_row(rep: metrics.MetricReport) -> list[str]:
+    return [pipeline._report_cell(getattr(rep, name)) for name in pipeline._REPORT_FIELDS]
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -182,29 +172,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_toy(args) -> int:
     _, scenarios = experiments.toy_scenarios(seed=args.seed)
-    header = (
-        "scenario,e_dir,e_dir_norm,e_proj,e_proj_norm,mad,"
-        "num_rank,stable_rank,erank,frob_norm,skipped_mad_edges"
-    )
-    lines = [header]
-    for sc in scenarios:
-        rep = sc.report
-        cells = [sc.name]
-        for name in (
-            "e_dir", "e_dir_norm", "e_proj", "e_proj_norm", "mad",
-            "num_rank", "stable_rank", "erank", "frob_norm",
-        ):
-            value = getattr(rep, name)
-            cells.append("nan" if value is None else pipeline.format_float(value))
-        cells.append(str(rep.skipped_mad_edges))
-        lines.append(",".join(cells))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "toy_scenarios.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write under {args.out}: {exc}") from exc
-    print(os.path.join(args.out, "toy_scenarios.csv"))
+    rows = [[sc.name] + _report_row(sc.report) for sc in scenarios]
+    header = ("scenario",) + pipeline._REPORT_FIELDS
+    print(pipeline._write_table(args.out, "toy_scenarios.csv", header, rows))
     return EXIT_OK
 
 
@@ -223,7 +193,7 @@ def _cmd_rollout(args) -> int:
         use_bias=args.bias,
         use_residual=args.residual,
     )
-    u = _direction("gcn" if args.arch == "gcn" else "const", g)
+    u = pipeline._direction("gcn" if args.arch == "gcn" else "const", g)
     trace = propagate.rollout(config, metric_hook=lambda x: metrics.metric_suite(x, g, u))
     written = pipeline.write_report(args.out, traces={(args.arch, args.seed): trace.reports})
     if trace.truncated_at is not None:
@@ -236,19 +206,9 @@ def _cmd_rollout(args) -> int:
 def _cmd_metrics(args) -> int:
     g = graph.read_grf(args.graph)
     x = pipeline.load_matrix(args.features)
-    u = _direction(args.u, g)
-    rep = metrics.metric_suite(x, g, u)
-    names = (
-        "e_dir", "e_dir_norm", "e_proj", "e_proj_norm", "mad",
-        "num_rank", "stable_rank", "erank", "frob_norm",
-    )
-    print(",".join(names) + ",skipped_mad_edges")
-    cells = []
-    for name in names:
-        value = getattr(rep, name)
-        cells.append("nan" if value is None else pipeline.format_float(value))
-    cells.append(str(rep.skipped_mad_edges))
-    print(",".join(cells))
+    rep = metrics.metric_suite(x, g, pipeline._direction(args.u, g))
+    print(",".join(pipeline._REPORT_FIELDS))
+    print(",".join(_report_row(rep)))
     return EXIT_OK
 
 

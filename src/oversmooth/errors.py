@@ -46,10 +46,6 @@ class DegenerateSpectrum(OversmoothError):
     """A spectral quantity is undefined (dominant eigenvalue zero)."""
 
 
-class NumericalOverflow(OversmoothError):
-    """A computed magnitude left the representable working range."""
-
-
 class DisconnectedGraph(OversmoothError):
     """The graph is not connected where connectivity is required."""
 

@@ -30,7 +30,7 @@ from .graph import (
     sym_norm_adjacency,
 )
 from .linalg import power_iteration, spectral_gap
-from .metrics import CANONICAL_METRICS, MetricReport, metric_suite
+from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
 from .propagate import (
     Activation,
     PropagationConfig,
@@ -56,9 +56,6 @@ DECAY_WINDOW = 10
 
 ENERGY_KIND = "energy"
 RANK_KIND = "rank_minus_one"
-
-# Metrics classified with the rank-minus-one rule; the rest are energy-like.
-_RANK_METRICS = ("erank", "num_rank")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ rank-one subspace spanned by ``u``. The rank family (numerical rank, stable
 rank, effective rank) watches the singular value profile collapse toward
 rank one.
 
-``metric_suite`` evaluates everything in one pass and is the hot path: the
-singular values are computed once and shared across the three rank proxies.
-On degenerate input (zero matrix, fully skipped edge set) the suite stores
-``None`` markers instead of raising, so layer sweeps can keep going.
+Each formula lives in one private kernel that runs on a power-of-two
+prescaled copy of the features and validates nothing. ``metric_suite`` and
+the standalone functions are views: they validate their input, prescale
+once, call the kernels, and unscale the absolute energies or raise. So a
+standalone function and the matching suite field agree bit for bit on every
+input. On degenerate input (zero matrix, fully skipped edge set) the suite
+stores ``None`` markers instead of raising, so layer sweeps can keep going.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ CANONICAL_METRICS = (
     "erank",
     "num_rank",
 )
+
+# Rank-like metrics: they approach 1, not 0, under collapse, so decay
+# classification and cross-run correlation both read them as ``value - 1``.
+_RANK_METRICS = ("erank", "num_rank")
 
 # Relative noise floor for the entropy/sum based rank proxies. The Gram route
 # cannot resolve singular values below ~sqrt(n * machine eps) * s_1, so
@@ -84,112 +91,35 @@ def _features_for_graph(x, g: Graph) -> np.ndarray:
     return x
 
 
-def _check_direction(u, n: int) -> np.ndarray:
+def _check_direction(u, n: int, unit: bool = False, nonzero: bool = False) -> np.ndarray:
     u = as_vector(u, "direction vector")
     require_length(u, n, "direction vector")
-    if np.any(u == 0.0):
+    if unit:
+        norm = math.sqrt(float(u @ u))
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise NonUnitVector(f"direction vector has norm {norm!r}, expected 1")
+    if nonzero and np.any(u == 0.0):
         raise NonpositiveEigenvector(
             "direction vector entries must be nonzero (rows are rescaled by them)"
         )
     return u
 
 
-def _check_unit(u, n: int) -> np.ndarray:
-    u = as_vector(u, "direction vector")
-    require_length(u, n, "direction vector")
-    norm = math.sqrt(float(u @ u))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise NonUnitVector(f"direction vector has norm {norm!r}, expected 1")
-    return u
-
-
-def dirichlet_energy(x, g: Graph, u) -> float:
-    """Sum over edges of ``||x_i/u_i - x_j/u_j||^2``, each edge once.
-
-    ``u`` is the (not necessarily unit) dominant-direction weighting; its
-    entries must be nonzero. Zero exactly when every row of ``x`` is the
-    same multiple of its ``u`` entry.
-    """
-    x = _features_for_graph(x, g)
-    u = _check_direction(u, g.n)
-    y = x / u[:, None]
-    ei, ej = g.edge_arrays
-    diff = y[ei] - y[ej]
-    return float(np.sum(diff * diff))
-
-
-def projection_energy(x, u) -> float:
-    """Squared Frobenius mass of ``x`` outside the line spanned by unit ``u``."""
-    x = as_matrix(x, "features")
-    u = _check_unit(u, x.shape[0])
-    resid = x - np.outer(u, u @ x)
-    return float(np.sum(resid * resid))
-
-
-def normalized_energies(x, g: Graph, u, proj_exponent: int = 2) -> tuple[float, float]:
-    """Scale-normalized energy pair ``(e_dir, e_proj) / ||x||_F^2``.
-
-    ``proj_exponent=1`` divides the projection energy by ``||x||_F`` instead;
-    the default squared denominator is the scale-invariant choice. Both
-    ratios are evaluated on a power-of-two scaled copy, so they stay finite
-    even when the raw energies overflow.
-    """
+def _check_exponent(proj_exponent: int) -> None:
     if proj_exponent not in (1, 2):
         raise InvalidParameter(f"proj_exponent must be 1 or 2, got {proj_exponent}")
-    x = _features_for_graph(x, g)
+
+
+# Kernels. They take the prescaled copy ``xs`` and validate nothing.
+
+
+def _prescale(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    # Division by a power of two is exact, so every scale-invariant value is
+    # bitwise identical to the raw computation in range and finite out of
+    # range. Returns (xs, scale, ||xs||_F^2).
     scale = pow2_scale(x)
     xs = x if scale == 1.0 else x / scale
-    f2 = float(np.sum(xs * xs))
-    if f2 == 0.0:
-        raise ZeroMatrix("normalized energies are undefined for a zero matrix")
-    e_dir = dirichlet_energy(xs, g, u)
-    e_proj = projection_energy(xs, _check_unit(u, g.n))
-    if proj_exponent == 2:
-        return e_dir / f2, e_proj / f2
-    return e_dir / f2, (e_proj / math.sqrt(f2)) * scale
-
-
-def _mad_stats(x: np.ndarray, g: Graph) -> tuple[float | None, int, int]:
-    # Returns (mean angular distance or None, skipped edges, total edges).
-    ei, ej = g.edge_arrays
-    total = int(ei.shape[0])
-    if total == 0:
-        return None, 0, 0
-    scale = pow2_scale(x)
-    if scale != 1.0:
-        # Cosines ignore scale; the exact power-of-two division keeps the
-        # row products representable for huge feature values.
-        x = x / scale
-    sq = np.einsum("ij,ij->i", x, x)
-    live = (sq[ei] > 0.0) & (sq[ej] > 0.0)
-    kept = int(np.count_nonzero(live))
-    if kept == 0:
-        return None, total, total
-    hi, hj = ei[live], ej[live]
-    dots = np.einsum("ij,ij->i", x[hi], x[hj])
-    # sqrt(s * s) == s exactly in IEEE-754, so bitwise-identical rows give
-    # cosine 1.0 and contribute an exact zero.
-    cos = np.clip(dots / np.sqrt(sq[hi] * sq[hj]), -1.0, 1.0)
-    return float(np.sum(1.0 - cos) / kept), total - kept, total
-
-
-def mad(x, g: Graph) -> float:
-    """Mean angular distance ``1 - cos`` across edges, in ``[0, 2]``.
-
-    Edges with a zero-norm endpoint are skipped; raises NoEdges on an
-    edgeless graph and AllEdgesSkipped when nothing remains.
-    """
-    x = _features_for_graph(x, g)
-    value, skipped, total = _mad_stats(x, g)
-    if total == 0:
-        raise NoEdges("mean angular distance needs at least one edge")
-    if value is None:
-        raise AllEdgesSkipped(f"all {skipped} edges touch a zero-norm row")
-    return value
-
-
-def _rank_bound(x: np.ndarray) -> float:
-    return float(min(x.shape))
+    return xs, scale, float(np.sum(xs * xs))
 
 
 def _unscale_energy(value: float, scale: float) -> float:
@@ -200,56 +130,147 @@ def _unscale_energy(value: float, scale: float) -> float:
     return (value * scale) * scale
 
 
-def _clip_noise(sv: np.ndarray) -> np.ndarray:
-    return sv[sv >= SV_NOISE_FLOOR * sv[0]]
+def _gather(xs: np.ndarray, g: Graph):
+    # Both endpoint rows of every edge, gathered once for e_dir and MAD.
+    ei, ej = g.edge_arrays
+    return ei, ej, xs[ei], xs[ej]
 
 
-def _num_rank_value(sv_clipped: np.ndarray, bound: float) -> float:
-    # Summing the solver's own (noise-clipped) spectrum rather than the raw
-    # squared entries makes an exactly rank-deficient matrix report an exact
-    # ratio; the two sums agree to solver precision otherwise.
-    s1 = float(sv_clipped[0])
-    total = float(sv_clipped @ sv_clipped)
-    return min(max(total / (s1 * s1), 1.0), bound)
+def _e_dir(edges, u: np.ndarray) -> float:
+    ei, ej, xi, xj = edges
+    diff = xi / u[ei, None] - xj / u[ej, None]
+    return float(np.sum(diff * diff))
 
 
-def _stable_rank_value(sv_clipped: np.ndarray, bound: float) -> float:
-    total = float(np.sum(sv_clipped))
-    sq = float(sv_clipped @ sv_clipped)
-    return min(max((total * total) / sq, 1.0), bound)
+def _mad(xs: np.ndarray, edges) -> tuple[float | None, int]:
+    # (mean angular distance or None, edges skipped for a zero endpoint row).
+    ei, ej, xi, xj = edges
+    sq = np.einsum("ij,ij->i", xs, xs)
+    si, sj = sq[ei], sq[ej]
+    live = (si > 0.0) & (sj > 0.0)
+    kept = int(np.count_nonzero(live))
+    skipped = int(ei.shape[0]) - kept
+    if kept == 0:
+        return None, skipped
+    if skipped:
+        xi, xj, si, sj = xi[live], xj[live], si[live], sj[live]
+    dots = np.einsum("ij,ij->i", xi, xj)
+    # sqrt(s * s) == s exactly in IEEE-754, so bitwise-identical rows give
+    # cosine 1.0 and contribute an exact zero.
+    cos = np.clip(dots / np.sqrt(si * sj), -1.0, 1.0)
+    return float(np.sum(1.0 - cos) / kept), skipped
 
 
-def _erank_value(sv_clipped: np.ndarray, bound: float) -> float:
-    p = sv_clipped / float(np.sum(sv_clipped))
+def _e_proj(xs: np.ndarray, u: np.ndarray) -> float:
+    resid = xs - np.outer(u, u @ xs)
+    return float(np.sum(resid * resid))
+
+
+def _normalized(e_dir: float, e_proj: float, f2: float, scale: float,
+                proj_exponent: int) -> tuple[float, float]:
+    if proj_exponent == 2:
+        return e_dir / f2, e_proj / f2
+    return e_dir / f2, (e_proj / math.sqrt(f2)) * scale
+
+
+def _rank_proxies(xs: np.ndarray) -> tuple[float, float, float, float]:
+    # (num_rank, stable_rank, erank, s_1) of a nonzero prescaled matrix, each
+    # rank clamped into [1, min(rows, cols)]. Summing the solver's own
+    # noise-clipped spectrum rather than the raw squared entries makes an
+    # exactly rank-deficient matrix report an exact ratio.
+    bound = float(min(xs.shape))
+    sv = singular_values(xs)
+    s1 = float(sv[0])
+    sv = sv[sv >= SV_NOISE_FLOOR * s1]
+    sq = float(sv @ sv)
+    total = float(np.sum(sv))
+    p = sv / total
     entropy = -float(np.sum(p * np.log(p)))
-    return min(max(math.exp(entropy), 1.0), bound)
+    return (
+        min(max(sq / (s1 * s1), 1.0), bound),
+        min(max((total * total) / sq, 1.0), bound),
+        min(max(math.exp(entropy), 1.0), bound),
+        s1,
+    )
+
+
+# Views.
+
+
+def dirichlet_energy(x, g: Graph, u) -> float:
+    """Sum over edges of ``||x_i/u_i - x_j/u_j||^2``, each edge once.
+
+    ``u`` is the (not necessarily unit) dominant-direction weighting; its
+    entries must be nonzero. Zero exactly when every row of ``x`` is the
+    same multiple of its ``u`` entry.
+    """
+    x = _features_for_graph(x, g)
+    u = _check_direction(u, g.n, nonzero=True)
+    xs, scale, _ = _prescale(x)
+    return _unscale_energy(_e_dir(_gather(xs, g), u), scale)
+
+
+def projection_energy(x, u) -> float:
+    """Squared Frobenius mass of ``x`` outside the line spanned by unit ``u``."""
+    x = as_matrix(x, "features")
+    u = _check_direction(u, x.shape[0], unit=True)
+    xs, scale, _ = _prescale(x)
+    return _unscale_energy(_e_proj(xs, u), scale)
+
+
+def normalized_energies(x, g: Graph, u, proj_exponent: int = 2) -> tuple[float, float]:
+    """Scale-normalized energy pair ``(e_dir, e_proj) / ||x||_F^2``.
+
+    ``proj_exponent=1`` divides the projection energy by ``||x||_F`` instead;
+    the default squared denominator is the scale-invariant choice. Both
+    ratios are evaluated on a power-of-two scaled copy, so they stay finite
+    even when the raw energies overflow.
+    """
+    _check_exponent(proj_exponent)
+    x = _features_for_graph(x, g)
+    u = _check_direction(u, g.n, unit=True, nonzero=True)
+    xs, scale, f2 = _prescale(x)
+    if f2 == 0.0:
+        raise ZeroMatrix("normalized energies are undefined for a zero matrix")
+    return _normalized(_e_dir(_gather(xs, g), u), _e_proj(xs, u), f2, scale, proj_exponent)
+
+
+def mad(x, g: Graph) -> float:
+    """Mean angular distance ``1 - cos`` across edges, in ``[0, 2]``.
+
+    Edges with a zero-norm endpoint are skipped; raises NoEdges on an
+    edgeless graph and AllEdgesSkipped when nothing remains.
+    """
+    x = _features_for_graph(x, g)
+    if g.edge_arrays[0].shape[0] == 0:
+        raise NoEdges("mean angular distance needs at least one edge")
+    xs, _, _ = _prescale(x)
+    value, skipped = _mad(xs, _gather(xs, g))
+    if value is None:
+        raise AllEdgesSkipped(f"all {skipped} edges touch a zero-norm row")
+    return value
+
+
+def _nonzero_rank_proxies(x, what: str) -> tuple[float, float, float, float]:
+    xs, _, f2 = _prescale(as_matrix(x, "features"))
+    if f2 == 0.0:
+        raise ZeroMatrix(f"{what} is undefined for a zero matrix")
+    return _rank_proxies(xs)
 
 
 def numerical_rank(x) -> float:
     """``||x||_F^2 / ||x||_2^2``, clamped into ``[1, min(rows, cols)]``."""
-    x = as_matrix(x, "features")
-    sv = singular_values(x)
-    if sv[0] == 0.0:
-        raise ZeroMatrix("numerical rank is undefined for a zero matrix")
-    return _num_rank_value(_clip_noise(sv), _rank_bound(x))
+    return _nonzero_rank_proxies(x, "numerical rank")[0]
 
 
 def stable_rank(x) -> float:
     """``(sum sv)^2 / sum sv^2`` over the noise-clipped singular values."""
-    x = as_matrix(x, "features")
-    sv = singular_values(x)
-    if sv[0] == 0.0:
-        raise ZeroMatrix("stable rank is undefined for a zero matrix")
-    return _stable_rank_value(_clip_noise(sv), _rank_bound(x))
+    return _nonzero_rank_proxies(x, "stable rank")[1]
 
 
 def effective_rank(x) -> float:
     """Exponential of the entropy of the normalized singular value profile."""
-    x = as_matrix(x, "features")
-    sv = singular_values(x)
-    if sv[0] == 0.0:
-        raise ZeroMatrix("effective rank is undefined for a zero matrix")
-    return _erank_value(_clip_noise(sv), _rank_bound(x))
+    return _nonzero_rank_proxies(x, "effective rank")[2]
 
 
 def metric_suite(x, g: Graph, u, proj_exponent: int = 2) -> MetricReport:
@@ -258,35 +279,19 @@ def metric_suite(x, g: Graph, u, proj_exponent: int = 2) -> MetricReport:
     ``u`` must be unit norm with nonzero entries. Degenerate cases become
     ``None`` markers rather than exceptions; see MetricReport.
     """
-    if proj_exponent not in (1, 2):
-        raise InvalidParameter(f"proj_exponent must be 1 or 2, got {proj_exponent}")
+    _check_exponent(proj_exponent)
     x = _features_for_graph(x, g)
-    u = _check_unit(u, g.n)
-    _check_direction(u, g.n)
-    # Everything is evaluated on a power-of-two scaled copy: bitwise
-    # identical to the raw computation in range, finite out of range. The
-    # absolute energies are rescaled back at the end.
-    scale = pow2_scale(x)
-    xs = x if scale == 1.0 else x / scale
-    f2 = float(np.sum(xs * xs))
-    y = xs / u[:, None]
-    ei, ej = g.edge_arrays
-    diff = y[ei] - y[ej]
-    e_dir = float(np.sum(diff * diff))
-    resid = xs - np.outer(u, u @ xs)
-    e_proj = float(np.sum(resid * resid))
+    u = _check_direction(u, g.n, unit=True, nonzero=True)
+    xs, scale, f2 = _prescale(x)
+    edges = _gather(xs, g)
+    e_dir = _e_dir(edges, u)
+    e_proj = _e_proj(xs, u)
+    mad_value, skipped = _mad(xs, edges)
     if f2 > 0.0:
-        e_dir_norm = e_dir / f2
-        e_proj_norm = e_proj / f2 if proj_exponent == 2 else (e_proj / math.sqrt(f2)) * scale
-        sv = singular_values(xs)
-        bound = _rank_bound(x)
-        clipped = _clip_noise(sv)
-        num_rank = _num_rank_value(clipped, bound)
-        stable = _stable_rank_value(clipped, bound)
-        erank = _erank_value(clipped, bound)
+        e_dir_norm, e_proj_norm = _normalized(e_dir, e_proj, f2, scale, proj_exponent)
+        num_rank, stable, erank, _ = _rank_proxies(xs)
     else:
         e_dir_norm = e_proj_norm = num_rank = stable = erank = None
-    mad_value, skipped, _total = _mad_stats(xs, g)
     return MetricReport(
         e_dir=_unscale_energy(e_dir, scale),
         e_dir_norm=e_dir_norm,
@@ -309,14 +314,9 @@ def numrank_upper_bound_check(x, u) -> tuple[float, float]:
     copy of ``x`` so neither square can overflow.
     """
     x = as_matrix(x, "features")
-    u = _check_unit(u, x.shape[0])
-    scale = pow2_scale(x)
-    xs = x if scale == 1.0 else x / scale
-    sv = singular_values(xs)
-    s1 = float(sv[0])
-    if s1 == 0.0:
+    u = _check_direction(u, x.shape[0], unit=True)
+    xs, _, f2 = _prescale(x)
+    if f2 == 0.0:
         raise ZeroMatrix("bound is undefined for a zero matrix")
-    lhs = _num_rank_value(_clip_noise(sv), _rank_bound(x))
-    resid = xs - np.outer(u, u @ xs)
-    rhs = 1.0 + float(np.sum(resid * resid)) / (s1 * s1)
-    return lhs, rhs
+    lhs, _, _, s1 = _rank_proxies(xs)
+    return lhs, 1.0 + _e_proj(xs, u) / (s1 * s1)

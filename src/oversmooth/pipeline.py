@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
-from .metrics import CANONICAL_METRICS, MetricReport, metric_suite
+from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
 
 # Metric values are clamped here before the log transform.
 CLAMP_FLOOR = 1e-15
-# Rank metrics enter the correlation as (value - 1).
-SHIFTED_METRICS = ("erank", "num_rank")
 
 TRACE_COLUMNS = ("layer",) + CANONICAL_METRICS + ("frob_norm",)
+# Every MetricReport field in declaration order: the columns of a full report.
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
 
 
 def format_float(value) -> str:
@@ -251,15 +251,16 @@ class CorrelationReport:
     transform: dict
 
 
-def _direction_for(manifest: RunManifest, g: Graph) -> np.ndarray:
-    if manifest.u_source == "gcn":
+def _direction(source: str, g: Graph) -> np.ndarray:
+    """Unit reference direction: 'gcn', 'const', or a vector file path."""
+    if source == "gcn":
         return gcn_dominant_eigenvector(g)
-    if manifest.u_source == "const":
+    if source == "const":
         return constant_unit_vector(g.n)
-    u = load_vector(manifest.u_path)
+    u = load_vector(source)
     norm = math.sqrt(float(u @ u))
     if norm == 0.0:
-        raise InvalidParameter(f"direction file {manifest.u_path} holds a zero vector")
+        raise InvalidParameter(f"direction file {source} holds a zero vector")
     return u / norm
 
 
@@ -285,12 +286,13 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
             raise ShapeMismatch(
                 f"{manifest.layer_paths[-1]}: {x.shape[0]} rows for a graph with {g.n} vertices"
             )
-        reports.append(metric_suite(x, g, _direction_for(manifest, g)))
+        source = manifest.u_path if manifest.u_source == "file" else manifest.u_source
+        reports.append(metric_suite(x, g, _direction(source, g)))
     accuracies = [m.accuracy for m in manifests]
     correlations: dict = {}
     failures: dict = {}
     for metric in CANONICAL_METRICS:
-        shift = 1.0 if metric in SHIFTED_METRICS else 0.0
+        shift = 1.0 if metric in _RANK_METRICS else 0.0
         logs = []
         for manifest, report in zip(manifests, reports):
             value = getattr(report, metric)
@@ -315,23 +317,36 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
         accuracy_ratio=accuracies[deep] / accuracies[shallow],
         run_count=len(manifests),
         transform={
-            "shifted_metrics": SHIFTED_METRICS,
+            "shifted_metrics": _RANK_METRICS,
             "clamp_floor": CLAMP_FLOOR,
             "log": "natural",
         },
     )
 
 
-def _write_text(path, content: str) -> None:
+def _report_cell(value) -> str:
+    """One CSV cell: 'nan' for an undefined value, counts as integers."""
+    if value is None:
+        return "nan"
+    if isinstance(value, int):
+        return str(value)
+    return format_float(value)
+
+
+def _write_table(out_dir, name: str, header, rows) -> str:
+    """Write one CSV table (header, then rows of cells) under ``out_dir``.
+
+    ``rows`` may be a generator, so each row's cells are freed once joined.
+    """
+    path = os.path.join(out_dir, name)
+    lines = [",".join(header)] + [",".join(cells) for cells in rows]
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _report_cell(value) -> str:
-    return "nan" if value is None else format_float(value)
+    return path
 
 
 def write_report(out_dir, correlation=None, grid=None, traces=None) -> list[str]:
@@ -343,38 +358,22 @@ def write_report(out_dir, correlation=None, grid=None, traces=None) -> list[str]
     trace_<label>_<seed>.csv per rollout with the canonical trace columns.
     Identical inputs produce byte-identical files.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
     written = []
     if correlation is not None:
-        lines = ["metric,r"]
-        for metric in CANONICAL_METRICS:
-            lines.append(f"{metric},{_report_cell(correlation.correlations[metric])}")
-        path = os.path.join(out_dir, "correlations.csv")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        rows = [(m, _report_cell(correlation.correlations[m])) for m in CANONICAL_METRICS]
+        written.append(_write_table(out_dir, "correlations.csv", ("metric", "r"), rows))
     if grid is not None:
-        lines = ["row,metric,verdict"]
-        for name in grid.config.rows:
-            for metric in CANONICAL_METRICS:
-                verdict = "yes" if grid.verdicts[(name, metric)] else "no"
-                lines.append(f"{name},{metric},{verdict}")
-        path = os.path.join(out_dir, "table3_grid.csv")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        rows = [
+            (name, metric, "yes" if grid.verdicts[(name, metric)] else "no")
+            for name in grid.config.rows
+            for metric in CANONICAL_METRICS
+        ]
+        written.append(_write_table(out_dir, "table3_grid.csv", ("row", "metric", "verdict"), rows))
     if traces is not None:
         for (label, seed) in sorted(traces):
-            reports = traces[(label, seed)]
-            lines = [",".join(TRACE_COLUMNS)]
-            for layer, rep in enumerate(reports):
-                cells = [str(layer)]
-                for metric in CANONICAL_METRICS:
-                    cells.append(_report_cell(getattr(rep, metric)))
-                cells.append(format_float(rep.frob_norm))
-                lines.append(",".join(cells))
-            path = os.path.join(out_dir, f"trace_{label}_{seed}.csv")
-            _write_text(path, "\n".join(lines) + "\n")
-            written.append(path)
+            rows = (
+                [str(layer)] + [_report_cell(getattr(rep, c)) for c in TRACE_COLUMNS[1:]]
+                for layer, rep in enumerate(traces[(label, seed)])
+            )
+            written.append(_write_table(out_dir, f"trace_{label}_{seed}.csv", TRACE_COLUMNS, rows))
     return written

@@ -81,6 +81,19 @@ def test_metrics_direction_file(tmp_path, capsys):
     row = capsys.readouterr().out.strip().split("\n")[1]
     rep = metric_suite(x, g, constant_unit_vector(g.n))
     assert float(row.split(",")[2]) == rep.e_proj
+    # A file direction is normalized by math.sqrt, as for a run manifest's
+    # {"file": ...} source; float ** 0.5 differs in the last bit for this v.
+    v = np.array([0.5157334075684369, 1.7018597959718724, 1.7055318316519026])
+    write_matrix(v[:, None], upath)
+    x = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.25]])
+    write_matrix(x, xpath)
+    assert main(["metrics", "--features", str(xpath), "--graph", str(gpath), "--u", str(upath)]) == EXIT_OK
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    rep = metric_suite(x, g, v / math.sqrt(float(v @ v)))
+    assert [float(c) for c in row[:9]] == [
+        rep.e_dir, rep.e_dir_norm, rep.e_proj, rep.e_proj_norm, rep.mad,
+        rep.num_rank, rep.stable_rank, rep.erank, rep.frob_norm,
+    ]
 
 
 def test_metrics_eigensolver_failure_is_numeric_failure(tmp_path, capsys, monkeypatch):

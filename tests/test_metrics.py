@@ -194,20 +194,27 @@ def test_rank_proxies_zero_matrix_raises():
 
 
 def test_metric_suite_matches_standalone_functions():
+    # Bit-for-bit agreement must also hold where the raw squares underflow
+    # or overflow, and the rank proxies must stay finite there.
     g = barabasi_albert(10, 2, seed=10)
     u = gcn_dominant_eigenvector(g)
-    x = Xoshiro256pp(11).matrix(10, 4, -1.0, 1.0)
-    rep = metric_suite(x, g, u)
-    assert rep.e_dir == dirichlet_energy(x, g, u)
-    assert rep.e_proj == projection_energy(x, u)
-    e_dir_norm, e_proj_norm = normalized_energies(x, g, u)
-    assert rep.e_dir_norm == e_dir_norm
-    assert rep.e_proj_norm == e_proj_norm
-    assert rep.mad == mad(x, g)
-    assert rep.num_rank == numerical_rank(x)
-    assert rep.stable_rank == stable_rank(x)
-    assert rep.erank == effective_rank(x)
-    assert rep.frob_norm == math.sqrt(float(np.sum(x * x)))
+    base = Xoshiro256pp(11).matrix(10, 4, -1.0, 1.0)
+    for factor in (1.0, 1e-200, 1e200, 1.7e308):
+        x = factor * base
+        rep = metric_suite(x, g, u)
+        assert rep.e_dir == dirichlet_energy(x, g, u)
+        assert rep.e_proj == projection_energy(x, u)
+        e_dir_norm, e_proj_norm = normalized_energies(x, g, u)
+        assert rep.e_dir_norm == e_dir_norm
+        assert rep.e_proj_norm == e_proj_norm
+        assert rep.mad == mad(x, g)
+        assert rep.num_rank == numerical_rank(x)
+        assert rep.stable_rank == stable_rank(x)
+        assert rep.erank == effective_rank(x)
+        assert rep.num_rank == numrank_upper_bound_check(x, u)[0]
+        for value in (rep.num_rank, rep.stable_rank, rep.erank):
+            assert math.isfinite(value) and 1.0 <= value <= 4.0, (factor, value)
+    assert metric_suite(base, g, u).frob_norm == math.sqrt(float(np.sum(base * base)))
 
 
 def test_metric_suite_zero_matrix_markers():
