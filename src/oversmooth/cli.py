@@ -16,36 +16,9 @@ from . import errors, experiments, graph, hilbert, metrics, pipeline, propagate
 from .rng import subseed
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_NUMERIC = 3
-EXIT_INSUFFICIENT = 4
-
-_PARSE_ERRORS = (
-    errors.ParseError,
-    errors.ShapeMismatch,
-    errors.InvalidParameter,
-    errors.LengthMismatch,
-    errors.NonUnitVector,
-    errors.NonpositiveEigenvector,
-    errors.NonpositiveColumn,
-    errors.DisconnectedGraph,
-    errors.IoError,
-)
-_NUMERIC_ERRORS = (
-    errors.ConvergenceFailure,
-    errors.DegenerateSpectrum,
-    errors.ZeroMatrix,
-    errors.EigenvectorMismatch,
-    errors.AllSamplesDegenerate,
-    errors.RatioUnderflow,
-    errors.DegenerateInput,
-    errors.AllEdgesSkipped,
-)
-_INSUFFICIENT_ERRORS = (
-    errors.InsufficientRuns,
-    errors.SeriesTooShort,
-    errors.NoEdges,
-)
+EXIT_PARSE = errors._BadInput.exit_code
+EXIT_NUMERIC = errors._NumericFailure.exit_code
+EXIT_INSUFFICIENT = errors._InsufficientInput.exit_code
 
 _ACTIVATIONS = {
     "lrelu": propagate.leaky_relu,
@@ -260,15 +233,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _INSUFFICIENT_ERRORS as exc:
+    except errors.OversmoothError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,8 +1,9 @@
 """Exception taxonomy shared by every module.
 
 All failures raised by this package derive from :class:`OversmoothError`, so
-callers can catch one base class at a process boundary (the CLI does exactly
-that to map failures onto exit codes).
+callers can catch one base class at a process boundary. Each concrete error
+also derives from one of three private categories, which declares the exit
+code the CLI returns for it; the base class carries the generic code 1.
 """
 
 from __future__ import annotations
@@ -10,21 +11,37 @@ from __future__ import annotations
 
 class OversmoothError(Exception):
     """Base class for every error raised by this package."""
+    exit_code = 1
 
 
-class ShapeMismatch(OversmoothError):
+class _BadInput(OversmoothError):
+    """Unreadable or malformed input: a file, argument, shape or graph."""
+    exit_code = 2
+
+
+class _NumericFailure(OversmoothError):
+    """A quantity is numerically undefined or a solver failed."""
+    exit_code = 3
+
+
+class _InsufficientInput(OversmoothError):
+    """Too little input: too few runs, too short a series, no edges."""
+    exit_code = 4
+
+
+class ShapeMismatch(_BadInput):
     """Operands have incompatible dimensions."""
 
 
-class InvalidParameter(OversmoothError):
+class InvalidParameter(_BadInput):
     """A scalar or enum argument is outside its documented domain."""
 
 
-class IoError(OversmoothError):
+class IoError(_BadInput):
     """A file could not be read or written."""
 
 
-class ParseError(OversmoothError):
+class ParseError(_BadInput):
     """A file's contents violate its format.
 
     Carries the 1-based line number of the offending line when one applies
@@ -38,65 +55,65 @@ class ParseError(OversmoothError):
         super().__init__(message)
 
 
-class ConvergenceFailure(OversmoothError):
+class ConvergenceFailure(_NumericFailure):
     """An iterative solver hit its iteration or sweep limit."""
 
 
-class DegenerateSpectrum(OversmoothError):
+class DegenerateSpectrum(_NumericFailure):
     """A spectral quantity is undefined (dominant eigenvalue zero)."""
 
 
-class DisconnectedGraph(OversmoothError):
+class DisconnectedGraph(_BadInput):
     """The graph is not connected where connectivity is required."""
 
 
-class NoEdges(OversmoothError):
+class NoEdges(_InsufficientInput):
     """The graph has an empty edge set where edges are required."""
 
 
-class ZeroMatrix(OversmoothError):
+class ZeroMatrix(_NumericFailure):
     """The matrix is identically zero where a nonzero one is required."""
 
 
-class NonUnitVector(OversmoothError):
+class NonUnitVector(_BadInput):
     """A direction vector does not have unit Euclidean norm."""
 
 
-class NonpositiveEigenvector(OversmoothError):
+class NonpositiveEigenvector(_BadInput):
     """A weighting vector has a zero entry, so rescaling by it is undefined."""
 
 
-class NonpositiveColumn(OversmoothError):
+class NonpositiveColumn(_BadInput):
     """A matrix column leaves the strictly positive cone."""
 
 
-class EigenvectorMismatch(OversmoothError):
+class EigenvectorMismatch(_NumericFailure):
     """The supplied vector is not fixed (up to scale) by the operator."""
 
 
-class AllEdgesSkipped(OversmoothError):
+class AllEdgesSkipped(_NumericFailure):
     """Every edge was excluded from an edge-averaged statistic."""
 
 
-class AllSamplesDegenerate(OversmoothError):
+class AllSamplesDegenerate(_NumericFailure):
     """Every Monte Carlo sample was discarded as degenerate."""
 
 
-class SeriesTooShort(OversmoothError):
+class SeriesTooShort(_InsufficientInput):
     """A layer series is too short to classify."""
 
 
-class RatioUnderflow(OversmoothError):
+class RatioUnderflow(_NumericFailure):
     """Alignment ratios underflowed before a fit window could form."""
 
 
-class DegenerateInput(OversmoothError):
+class DegenerateInput(_NumericFailure):
     """A statistic is undefined on this input (e.g. a constant sequence)."""
 
 
-class LengthMismatch(OversmoothError):
+class LengthMismatch(_BadInput):
     """Two sequences that must be paired have different lengths."""
 
 
-class InsufficientRuns(OversmoothError):
+class InsufficientRuns(_InsufficientInput):
     """Too few (or insufficiently distinct) runs for a cross-run statistic."""

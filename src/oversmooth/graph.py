@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraph, InvalidParameter, IoError, ParseError
+from .errors import DisconnectedGraph, InvalidParameter, ParseError
 from .rng import Xoshiro256pp
+from .validation import body_tokens, parse_header, read_text, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,48 +183,24 @@ def constant_unit_vector(n: int) -> np.ndarray:
 def write_grf(g: Graph, path) -> None:
     lines = [f"grf 1 {g.n} {g.num_edges}"]
     lines.extend(f"{i} {j}" for i, j in g.edges)
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, lines)
 
 
 def read_grf(path) -> Graph:
     """Parse a `.grf` file; ParseError carries the 1-based offending line."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = raw.split("\n")
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "grf":
-        raise ParseError("header must be 'grf 1 <n> <num_edges>'", line=1)
-    if header[1] != "1":
-        raise ParseError(f"unsupported grf version {header[1]!r}", line=1)
-    try:
-        n, num_edges = int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError("header counts must be integers", line=1) from None
-    if n < 1 or num_edges < 0:
-        raise ParseError("header counts out of range", line=1)
+    lines = read_text(path, "ascii").split("\n")
+    n, num_edges = parse_header(lines[0], "grf 1 <n> <num_edges>", (1, 0))
     edges = []
     seen = set()
     lineno = 1
-    for offset, text in enumerate(lines[1:], start=2):
-        if text.strip() == "":
-            continue
-        lineno = offset
+    for lineno, tokens in body_tokens(lines, 1):
         if len(edges) == num_edges:
             raise ParseError("more edge lines than the header promised", line=lineno)
-        tokens = text.split()
-        if len(tokens) != 2:
-            raise ParseError(f"expected 'i j', got {text.strip()!r}", line=lineno)
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = map(int, tokens)
         except ValueError:
-            raise ParseError(f"edge endpoints must be integers, got {text.strip()!r}", line=lineno) from None
+            got = " ".join(tokens)
+            raise ParseError(f"expected integers 'i j', got {got!r}", line=lineno) from None
         if i == j:
             raise ParseError(f"self-loop at vertex {i}", line=lineno)
         if not i < j:
@@ -238,4 +215,5 @@ def read_grf(path) -> Graph:
         raise ParseError(
             f"header promised {num_edges} edges, file has {len(edges)}", line=lineno
         )
-    return Graph.from_edges(n, edges)
+    edges.sort()
+    return Graph(n, tuple(edges))

@@ -12,6 +12,7 @@ final layer and the accuracies.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
+from .linalg import pow2_scale
 from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
+from .validation import as_matrix, body_tokens, parse_header, read_text, write_lines
 
 # Metric values are clamped here before the log transform.
 CLAMP_FLOOR = 1e-15
@@ -45,61 +48,39 @@ def format_float(value) -> str:
 
 
 def write_matrix(m, path) -> None:
-    """Write a `.dmat` file; reading it back is bit-exact."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"matrix must be 2-D, got ndim={m.ndim}")
+    """Write a `.dmat` file; reading it back is bit-exact.
+
+    Refuses what ``load_matrix`` would refuse: non-2-D, empty or non-finite.
+    """
+    m = as_matrix(m)
     lines = [f"dmat 1 {m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in m)
+    write_lines(path, lines)
+
+
+def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
+    """One row of finite floats parsed from ``tokens``; ParseError at ``lineno``."""
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_text(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"not a number: {token!r}", line=lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite entry {token!r}", line=lineno)
-    return value
+        row = np.array(tokens, dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    finite = np.isfinite(row)
+    if not finite.all():
+        bad = tokens[int(np.argmin(finite))].strip()
+        raise ParseError(f"non-finite entry {bad!r}", line=lineno)
+    return row
 
 
 def _load_dmat(lines: list[str]) -> np.ndarray:
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "dmat":
-        raise ParseError("header must be 'dmat 1 <rows> <cols>'", line=1)
-    if header[1] != "1":
-        raise ParseError(f"unsupported dmat version {header[1]!r}", line=1)
-    try:
-        rows, cols = int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError("header counts must be integers", line=1) from None
-    if rows < 1 or cols < 1:
-        raise ParseError("header counts must be >= 1", line=1)
+    rows, cols = parse_header(lines[0], "dmat 1 <rows> <cols>", (1, 1))
     out = np.empty((rows, cols))
     filled = 0
-    for offset, text in enumerate(lines[1:], start=2):
-        if text.strip() == "":
-            continue
+    for lineno, tokens in body_tokens(lines, 1):
         if filled == rows:
-            raise ParseError("more data rows than the header promised", line=offset)
-        tokens = text.split()
+            raise ParseError("more data rows than the header promised", line=lineno)
         if len(tokens) != cols:
-            raise ParseError(f"expected {cols} values, got {len(tokens)}", line=offset)
-        out[filled] = [_parse_float(t, offset) for t in tokens]
+            raise ParseError(f"expected {cols} values, got {len(tokens)}", line=lineno)
+        out[filled] = _parse_row(tokens, lineno)
         filled += 1
     if filled != rows:
         raise ParseError(f"header promised {rows} rows, file has {filled}", line=len(lines))
@@ -108,21 +89,15 @@ def _load_dmat(lines: list[str]) -> np.ndarray:
 
 def _load_csv(lines: list[str]) -> np.ndarray:
     rows = []
-    width = None
-    for offset, text in enumerate(lines, start=1):
-        if text.strip() == "":
-            continue
-        tokens = [t.strip() for t in text.split(",")]
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+    for lineno, tokens in body_tokens(lines, 0, ","):
+        if rows and len(tokens) != len(rows[0]):
             raise ParseError(
-                f"ragged row: expected {width} values, got {len(tokens)}", line=offset
+                f"ragged row: expected {len(rows[0])} values, got {len(tokens)}", line=lineno
             )
-        rows.append([_parse_float(t, offset) for t in tokens])
+        rows.append(_parse_row(tokens, lineno))
     if not rows:
         raise ParseError("no data rows", line=1)
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows)
 
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
@@ -130,7 +105,7 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     ``fmt`` is None (a first line starting with ``dmat`` wins)."""
     if fmt not in (None, "dmat", "csv"):
         raise InvalidParameter(f"fmt must be None, 'dmat' or 'csv', got {fmt!r}")
-    lines = _read_text(path).split("\n")
+    lines = read_text(path, "utf-8").split("\n")
     if fmt is None:
         fmt = "dmat" if lines and lines[0].startswith("dmat") else "csv"
     return _load_dmat(lines) if fmt == "dmat" else _load_csv(lines)
@@ -161,9 +136,8 @@ class RunManifest:
 
 
 def read_manifest(path) -> RunManifest:
-    text = _read_text(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(read_text(path, "utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -258,6 +232,9 @@ def _direction(source: str, g: Graph) -> np.ndarray:
     if source == "const":
         return constant_unit_vector(g.n)
     u = load_vector(source)
+    # Divide by an exact power of two first, as the metric core does, so the
+    # squared norm neither overflows nor underflows at any magnitude.
+    u = u / pow2_scale(u)
     norm = math.sqrt(float(u @ u))
     if norm == 0.0:
         raise InvalidParameter(f"direction file {source} holds a zero vector")
@@ -339,13 +316,11 @@ def _write_table(out_dir, name: str, header, rows) -> str:
     ``rows`` may be a generator, so each row's cells are freed once joined.
     """
     path = os.path.join(out_dir, name)
-    lines = [",".join(header)] + [",".join(cells) for cells in rows]
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, itertools.chain([",".join(header)], (",".join(cells) for cells in rows)))
     return path
 
 

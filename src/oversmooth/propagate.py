@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameter, ShapeMismatch
 from .graph import Graph, sym_norm_adjacency
 from .rng import Xoshiro256pp
-from .validation import as_matrix, as_square_matrix, as_vector, require_length
+from .validation import as_matrix, as_square_matrix, as_vector, require_length, require_positive_int
 
 # Feature magnitudes above this truncate a rollout.
 OVERFLOW_LIMIT = 1e300
@@ -124,10 +124,8 @@ class PropagationConfig:
     def __post_init__(self):
         if self.arch not in ("gcn", "gat"):
             raise InvalidParameter(f"arch must be 'gcn' or 'gat', got {self.arch!r}")
-        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
-            raise InvalidParameter(f"depth must be an integer >= 1, got {self.depth!r}")
-        if not isinstance(self.width, (int, np.integer)) or self.width < 1:
-            raise InvalidParameter(f"width must be an integer >= 1, got {self.width!r}")
+        require_positive_int(self.depth, "depth")
+        require_positive_int(self.width, "width")
         if not 0.0 < self.gat_leaky_alpha < 1.0:
             raise InvalidParameter(
                 f"gat_leaky_alpha must lie in (0, 1), got {self.gat_leaky_alpha}"

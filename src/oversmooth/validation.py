@@ -4,13 +4,16 @@ Arrays are accepted as anything ``np.asarray`` understands and come back as
 float64 ndarrays; every entry must be finite. These helpers raise from the
 shared taxonomy in :mod:`oversmooth.errors` so the CLI can map failures to
 exit codes without caring where they originated.
+
+The text codec every file format shares lives here too: whole-file read,
+line writer, ``<tag> 1 <a> <b>`` header parser and body-line walker.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeMismatch
+from .errors import InvalidParameter, IoError, ParseError, ShapeMismatch
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -55,3 +58,49 @@ def require_positive_int(value, name: str) -> int:
     if value < 1:
         raise InvalidParameter(f"{name} must be >= 1, got {value}")
     return int(value)
+
+
+def read_text(path, encoding: str) -> str:
+    """The whole text of ``path``; IoError when it cannot be read or decoded."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write the iterable ``lines``, each ended by a newline, as UTF-8."""
+    text = "\n".join(lines) + "\n"  # consumed before the file is truncated
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def parse_header(line: str, layout: str, minimums: tuple[int, int]) -> tuple[int, int]:
+    """The two counts of a header laid out as ``layout`` (such as
+    ``'grf 1 <n> <num_edges>'``), each at least its minimum; ParseError at
+    line 1 otherwise."""
+    tag = layout.split()[0]
+    tokens = line.split()
+    if len(tokens) != 4 or tokens[0] != tag:
+        raise ParseError(f"header must be {layout!r}", line=1)
+    if tokens[1] != "1":
+        raise ParseError(f"unsupported {tag} version {tokens[1]!r}", line=1)
+    try:
+        counts = int(tokens[2]), int(tokens[3])
+    except ValueError:
+        raise ParseError("header counts must be integers", line=1) from None
+    if counts[0] < minimums[0] or counts[1] < minimums[1]:
+        raise ParseError("header counts out of range", line=1)
+    return counts
+
+
+def body_tokens(lines: list[str], first: int, sep: str | None = None):
+    """Yield ``(line number, line.split(sep))`` for each nonblank line of
+    ``lines[first:]``, one at a time; numbers are 1-based over ``lines``."""
+    for index in range(first, len(lines)):
+        if lines[index].strip():
+            yield index + 1, lines[index].split(sep)

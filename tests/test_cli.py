@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from oversmooth import cli, errors
 from oversmooth.cli import EXIT_INSUFFICIENT, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, main
 from oversmooth.graph import barabasi_albert, constant_unit_vector, write_grf
 from oversmooth.metrics import metric_suite
@@ -94,6 +95,13 @@ def test_metrics_direction_file(tmp_path, capsys):
         rep.e_dir, rep.e_dir_norm, rep.e_proj, rep.e_proj_norm, rep.mad,
         rep.num_rank, rep.stable_rank, rep.erank, rep.frob_norm,
     ]
+    # A direction file scaled far up or down is normalized after an
+    # exact power-of-two prescale, so it prints the same row.
+    args = ["metrics", "--features", str(xpath), "--graph", str(gpath), "--u", str(upath)]
+    for k in (600, -600):
+        write_matrix(math.ldexp(1.0, k) * v[:, None], upath)
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.strip().split("\n")[1].split(",") == row
 
 
 def test_metrics_eigensolver_failure_is_numeric_failure(tmp_path, capsys, monkeypatch):
@@ -125,6 +133,43 @@ def test_metrics_bad_graph_file(tmp_path, capsys):
     code = main(["metrics", "--features", str(xpath), "--graph", str(bad)])
     assert code == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+# Exit code of every concrete error, as the CLI has mapped them since the
+# error taxonomy was introduced.
+EXIT_CODES = {
+    "ParseError": 2, "ShapeMismatch": 2, "InvalidParameter": 2, "LengthMismatch": 2,
+    "NonUnitVector": 2, "NonpositiveEigenvector": 2, "NonpositiveColumn": 2,
+    "DisconnectedGraph": 2, "IoError": 2,
+    "ConvergenceFailure": 3, "DegenerateSpectrum": 3, "ZeroMatrix": 3,
+    "EigenvectorMismatch": 3, "AllSamplesDegenerate": 3, "RatioUnderflow": 3,
+    "DegenerateInput": 3, "AllEdgesSkipped": 3,
+    "InsufficientRuns": 4, "SeriesTooShort": 4, "NoEdges": 4,
+}
+
+
+def test_every_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch):
+    def concrete(cls):
+        for sub in cls.__subclasses__():
+            if not sub.__name__.startswith("_"):
+                yield sub
+            yield from concrete(sub)
+
+    classes = {cls.__name__: cls for cls in concrete(errors.OversmoothError)}
+    assert sorted(classes) == sorted(EXIT_CODES)
+    for name, cls in classes.items():
+        def fail(_args, cls=cls):
+            raise cls(f"stubbed {cls.__name__}")
+
+        monkeypatch.setitem(cli._COMMANDS, "toy", fail)
+        assert main(["toy", "--out", str(tmp_path)]) == EXIT_CODES[name], name
+        assert capsys.readouterr().err == f"error: stubbed {name}\n"
+
+    def missing(_args):
+        raise FileNotFoundError("stubbed")
+
+    monkeypatch.setitem(cli._COMMANDS, "toy", missing)
+    assert main(["toy", "--out", str(tmp_path)]) == EXIT_PARSE
 
 
 def test_rollout_trace_is_deterministic(tmp_path, capsys):

@@ -190,6 +190,14 @@ def test_grf_blank_lines_are_ignored(tmp_path):
     assert g.edges == ((0, 1), (1, 2))
 
 
+def test_grf_reader_sorts_edge_lines(tmp_path):
+    p = tmp_path / "g.grf"
+    p.write_text("grf 1 4 3\n2 3\n0 1\n1 3\n")
+    g = read_grf(p)
+    assert g.edges == ((0, 1), (1, 3), (2, 3))
+    assert g.edges == Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)]).edges
+
+
 def test_grf_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         read_grf(tmp_path / "absent.grf")

@@ -217,6 +217,52 @@ def test_metric_suite_matches_standalone_functions():
     assert metric_suite(base, g, u).frob_norm == math.sqrt(float(np.sum(base * base)))
 
 
+def test_metric_suite_invariant_under_vertex_relabeling():
+    rng = Xoshiro256pp(21)
+    g = barabasi_albert(12, 2, seed=21)
+    u = gcn_dominant_eigenvector(g)
+    x = rng.matrix(12, 5, -1.0, 1.0)
+    x[3] = 0.0  # a zero row, so skipped_mad_edges is nonzero
+    perm = list(range(12))
+    for k in range(11, 0, -1):
+        j = rng.randbelow(k + 1)
+        perm[k], perm[j] = perm[j], perm[k]
+    perm = np.array(perm)
+    h = Graph.from_edges(12, [(perm[i], perm[j]) for i, j in g.edges])
+    px, pu = np.empty_like(x), np.empty_like(u)
+    px[perm], pu[perm] = x, u
+    rep, back = metric_suite(x, g, u), metric_suite(px, h, pu)
+    assert rep.skipped_mad_edges == back.skipped_mad_edges > 0
+    for name in CANONICAL_METRICS + ("stable_rank", "frob_norm"):
+        assert_allclose(getattr(back, name), getattr(rep, name), rtol=1e-12, err_msg=name)
+
+
+def test_metric_suite_exact_under_power_of_two_scaling():
+    g = barabasi_albert(12, 2, seed=22)
+    u = gcn_dominant_eigenvector(g)
+    x = Xoshiro256pp(22).matrix(12, 5, -1.0, 1.0)
+    rep = metric_suite(x, g, u)
+    for k in (200, -200, 600, -600):
+        scaled = metric_suite(math.ldexp(1.0, k) * x, g, u)
+        for name in ("e_dir_norm", "e_proj_norm", "mad", "num_rank", "stable_rank", "erank"):
+            assert getattr(scaled, name) == getattr(rep, name), (k, name)
+        assert scaled.frob_norm == math.ldexp(rep.frob_norm, k)
+        if abs(k) == 200:
+            assert scaled.e_dir == math.ldexp(rep.e_dir, 2 * k)
+            assert scaled.e_proj == math.ldexp(rep.e_proj, 2 * k)
+
+
+def test_metric_suite_invariant_under_column_rotation():
+    rng = Xoshiro256pp(23)
+    g = barabasi_albert(12, 2, seed=23)
+    u = gcn_dominant_eigenvector(g)
+    x = rng.matrix(12, 5, -1.0, 1.0)
+    q, _ = np.linalg.qr(rng.matrix(5, 5, -1.0, 1.0))
+    rep, rotated = metric_suite(x, g, u), metric_suite(x @ q, g, u)
+    for name in ("num_rank", "stable_rank", "erank", "e_proj", "e_dir", "mad"):
+        assert_allclose(getattr(rotated, name), getattr(rep, name), rtol=1e-10, err_msg=name)
+
+
 def test_metric_suite_zero_matrix_markers():
     g = Graph.from_edges(2, [(0, 1)])
     u = np.full(2, 1.0 / math.sqrt(2.0))

@@ -17,8 +17,8 @@ from oversmooth.errors import (
     ShapeMismatch,
 )
 from oversmooth.experiments import SynthConfig, synth_table
-from oversmooth.graph import barabasi_albert, constant_unit_vector
-from oversmooth.metrics import CANONICAL_METRICS
+from oversmooth.graph import Graph, barabasi_albert, constant_unit_vector, write_grf
+from oversmooth.metrics import CANONICAL_METRICS, MetricReport
 from oversmooth.pipeline import (
     TRACE_COLUMNS,
     RunManifest,
@@ -55,9 +55,40 @@ def test_dmat_header_layout(tmp_path):
     assert first == "dmat 1 2 3"
 
 
+def test_text_formats_are_pinned_byte_for_byte(tmp_path):
+    write_grf(Graph.from_edges(4, [(2, 3), (0, 2), (1, 0)]), tmp_path / "g.grf")
+    assert (tmp_path / "g.grf").read_bytes() == b"grf 1 4 3\n0 1\n0 2\n2 3\n"
+    write_matrix([[1.0 / 3.0, 1e300, 5e-324], [-0.0, 1.0, -2.5]], tmp_path / "m.dmat")
+    assert (tmp_path / "m.dmat").read_bytes() == (
+        b"dmat 1 2 3\n0.3333333333333333 1e+300 5e-324\n-0.0 1.0 -2.5\n"
+    )
+    reports = [
+        MetricReport(
+            e_dir=0.1 + 0.2, e_dir_norm=0.5, e_proj=1e-300, e_proj_norm=0.25, mad=2.0,
+            num_rank=1.5, stable_rank=1.25, erank=3.0, frob_norm=7.0, skipped_mad_edges=0,
+        ),
+        MetricReport(
+            e_dir=0.0, e_dir_norm=None, e_proj=0.0, e_proj_norm=None, mad=None,
+            num_rank=None, stable_rank=None, erank=None, frob_norm=0.0, skipped_mad_edges=3,
+        ),
+    ]
+    (path,) = write_report(tmp_path / "out", traces={("gcn", 4): reports})
+    assert open(path, "rb").read() == (
+        b"layer,e_dir,e_dir_norm,e_proj,e_proj_norm,mad,erank,num_rank,frob_norm\n"
+        b"0,0.30000000000000004,0.5,1e-300,0.25,2.0,3.0,1.5,7.0\n"
+        b"1,0.0,nan,0.0,nan,nan,nan,nan,0.0\n"
+    )
+
+
 def test_write_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ShapeMismatch):
         write_matrix(np.ones(3), tmp_path / "v.dmat")
+    # load_matrix would refuse these files, so the writer refuses them too.
+    with pytest.raises(ShapeMismatch):
+        write_matrix(np.ones((0, 3)), tmp_path / "e.dmat")
+    with pytest.raises(InvalidParameter):
+        write_matrix([[float("nan"), 1.0]], tmp_path / "n.dmat")
+    assert not (tmp_path / "e.dmat").exists() and not (tmp_path / "n.dmat").exists()
 
 
 def parse_error_line(tmp_path, content, fmt=None):

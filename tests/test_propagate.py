@@ -147,6 +147,10 @@ def test_config_validation():
     with pytest.raises(InvalidParameter):
         PropagationConfig(graph=g, width=2, depth=0)
     with pytest.raises(InvalidParameter):
+        PropagationConfig(graph=g, width=True, depth=1)
+    with pytest.raises(InvalidParameter):
+        PropagationConfig(graph=g, width=2, depth=True)
+    with pytest.raises(InvalidParameter):
         PropagationConfig(graph=g, width=2, depth=1, gat_leaky_alpha=1.5)
     with pytest.raises(ShapeMismatch):
         PropagationConfig(graph=g, width=2, depth=1, init=np.ones((3, 2)))
