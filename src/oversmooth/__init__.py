@@ -62,11 +62,9 @@ from .hilbert import (
 )
 from .linalg import (
     frobenius_norm,
-    jacobi_eigenvalues,
     power_iteration,
     singular_values,
     spectral_gap,
-    spectral_norm,
 )
 from .metrics import (
     CANONICAL_METRICS,

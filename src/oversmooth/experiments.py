@@ -157,8 +157,8 @@ class SynthConfig:
         unknown = [r for r in self.rows if r not in GRID_ROW_NAMES]
         if unknown:
             raise InvalidParameter(f"unknown grid rows: {unknown}")
-        if self.seeds < 1:
-            raise InvalidParameter(f"seeds must be >= 1, got {self.seeds}")
+        for name in ("n", "m", "width", "depth", "seeds"):
+            require_positive_int(getattr(self, name), name)
         if self.depth + 1 < MIN_SERIES_LENGTH:
             raise InvalidParameter(
                 f"depth must give at least {MIN_SERIES_LENGTH} layers"

@@ -4,12 +4,6 @@ Singular values go through the Gram matrix of the smaller dimension and
 LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), so a
 tall-and-thin feature matrix (the common case here) costs one small dense
 eigenproblem. Every metric computes its singular values this way.
-
-``jacobi_eigenvalues`` is an independent reference solver kept for
-cross-checking LAPACK; no metric calls it. Its cyclic sweeps use a
-round-robin tournament ordering: every sweep visits each index pair exactly
-once, and the rotations inside one round act on disjoint pairs, so they
-commute and can be applied together as a single orthogonal update.
 """
 
 from __future__ import annotations
@@ -20,11 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateSpectrum, InvalidParameter
 from .validation import as_matrix, as_square_matrix, as_vector, require_length
-
-JACOBI_SWEEP_LIMIT = 60
-# Off-diagonal Frobenius mass below this multiple of the diagonal mass counts
-# as converged.
-JACOBI_OFF_TOL = 1e-14
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
@@ -54,69 +43,6 @@ def pow2_scale(m) -> float:
     return math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Circle-method tournament schedule. For odd n a bye slot is added and
-    # pairs touching it are dropped, so every round still holds disjoint
-    # pairs and a full cycle of rounds covers each pair exactly once.
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def jacobi_eigenvalues(sym, sweep_limit: int = JACOBI_SWEEP_LIMIT) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending.
-
-    Raises ConvergenceFailure if the off-diagonal mass has not dropped below
-    ``JACOBI_OFF_TOL`` times the diagonal mass within ``sweep_limit`` sweeps.
-    """
-    a = as_square_matrix(sym, "symmetric matrix").copy()
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    rounds = _round_robin_rounds(n)
-    eye_mask = np.eye(n, dtype=bool)
-    for _ in range(sweep_limit):
-        diag = np.diag(a)
-        off_sq = float(np.sum(a[~eye_mask] ** 2))
-        diag_sq = float(diag @ diag)
-        if math.sqrt(off_sq) <= JACOBI_OFF_TOL * math.sqrt(diag_sq):
-            return np.sort(diag)[::-1].copy()
-        for ps, qs in rounds:
-            apq = a[ps, qs]
-            live = apq != 0.0
-            if not live.all():
-                if not live.any():
-                    continue
-                ps, qs, apq = ps[live], qs[live], apq[live]
-            diag = a.diagonal()
-            tau = (diag[qs] - diag[ps]) / (2.0 * apq)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # One orthogonal update per round: the disjoint 2x2 rotations
-            # form a single plane-rotation matrix.
-            j = np.eye(n)
-            j[ps, ps] = c
-            j[qs, qs] = c
-            j[ps, qs] = s
-            j[qs, ps] = -s
-            a = (j.T @ a) @ j
-        a = (a + a.T) * 0.5
-    raise ConvergenceFailure(
-        f"Jacobi eigensolver did not converge within {sweep_limit} sweeps"
-    )
-
-
 def singular_values(m) -> np.ndarray:
     """All singular values, descending.
 
@@ -139,11 +65,6 @@ def singular_values(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK symmetric eigensolver failed: {exc}") from exc
     return np.sqrt(np.maximum(vals, 0.0)) * scale
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(singular_values(m)[0])
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:

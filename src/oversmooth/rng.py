@@ -3,10 +3,22 @@
 Both generators are ports of the public-domain reference implementations by
 Blackman and Vigna, written with plain Python integers masked to 64 bits so
 every platform produces the identical stream. Floats in [0, 1) are formed
-from the top 53 bits of each 64-bit word.
+from the top 53 bits of each 64-bit word. ``fill`` runs a C copy of its
+Python loop, built by ``cc`` into ``$XDG_CACHE_HOME/oversmooth`` (default
+``~/.cache/oversmooth``) and used only if it matches the loop bit for bit;
+otherwise the loop runs, after one RuntimeWarning naming the cause.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import platform
+import shutil
+import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -15,14 +27,24 @@ from .errors import InvalidParameter
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
-
-def _splitmix64_next(state: int) -> tuple[int, int]:
-    # One step of splitmix64: returns (new_state, output word).
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
+# The loop of ``_fill_python`` in C. -ffp-contract=off keeps low + span*u
+# two roundings (no FMA); -ffast-math or -march=native could change them.
+_C_SOURCE = r"""
+#include <stdint.h>
+#define ROTL(x, k) (((x) << (k)) | ((x) >> (64 - (k))))
+void xoshiro_fill(uint64_t *s, double *out, int64_t count, double low, double span) {
+    uint64_t s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t word = ROTL(s0 + s3, 23) + s0, t = s1 << 17;
+        s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t;
+        s3 = ROTL(s3, 45);
+        out[i] = low + span * ((double)(word >> 11) * 0x1.0p-53);
+    }
+    s[0] = s0; s[1] = s1; s[2] = s2; s[3] = s3;
+}
+"""
+_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILE_TIMEOUT_S = 60.0
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -30,8 +52,10 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     state = seed & _MASK64
     out = []
     for _ in range(count):
-        state, word = _splitmix64_next(state)
-        out.append(word)
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
     return out
 
 
@@ -43,11 +67,7 @@ def subseed(master: int, index: int) -> int:
     """
     if index < 0:
         raise InvalidParameter(f"subseed index must be >= 0, got {index}")
-    state = master & _MASK64
-    word = 0
-    for _ in range(index + 1):
-        state, word = _splitmix64_next(state)
-    return word
+    return splitmix64_stream(master, index + 1)[index]
 
 
 class Xoshiro256pp:
@@ -58,12 +78,7 @@ class Xoshiro256pp:
     """
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            state, word = _splitmix64_next(state)
-            s.append(word)
-        self._s = s
+        self._s = splitmix64_stream(seed, 4)
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -95,33 +110,98 @@ class Xoshiro256pp:
         return int(self.random() * bound)
 
     def fill(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """Array of ``count`` uniforms in [low, high), in stream order.
-
-        The generator loop is inlined with local bindings; at desk scale the
-        pure-Python stream is the simulation's hot path.
-        """
+        """Array of ``count`` uniforms in [low, high), in stream order: entry
+        i is ``low + (high - low) * u_i`` for the i-th ``random()`` draw u_i,
+        bit for bit in the C kernel and in ``_fill_python``."""
         if count < 0:
             raise InvalidParameter(f"fill count must be >= 0, got {count}")
         if not high > low:
             raise InvalidParameter(f"fill needs high > low, got [{low}, {high})")
-        mask = _MASK64
-        span = high - low
-        s0, s1, s2, s3 = self._s
         out = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            x = (s0 + s3) & mask
-            word = ((((x << 23) | (x >> 41)) & mask) + s0) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-            out[i] = low + span * ((word >> 11) * _INV53)
-        self._s = [s0, s1, s2, s3]
+        self._s = _fill_loop()(self._s, out, float(low), float(high - low))
         return out
 
     def matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform matrix filled in row-major draw order."""
         return self.fill(rows * cols, low, high).reshape(rows, cols)
+
+
+def _fill_python(s: list[int], out: np.ndarray, low: float, span: float) -> list[int]:
+    """Fill ``out`` from state ``s``, return the state after: ``fill``'s specification."""
+    mask = _MASK64
+    s0, s1, s2, s3 = s
+    for i in range(out.size):
+        x = (s0 + s3) & mask
+        word = ((((x << 23) | (x >> 41)) & mask) + s0) & mask
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        out[i] = low + span * ((word >> 11) * _INV53)
+    return [s0, s1, s2, s3]
+
+
+class _NoKernel(Exception):
+    """Why this process cannot use the C fill."""
+
+
+def _load_kernel():
+    """The C fill, built and checked; raises _NoKernel naming why it is unusable."""
+    # A CRC-32, not hashlib: hashlib loads OpenSSL, +3.6 MB resident.
+    key = zlib.crc32("\0".join((_C_SOURCE, *_C_FLAGS, platform.machine())).encode())
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oversmooth"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if cache.stat().st_mode & 0o022 or not os.access(cache, os.W_OK):
+            raise PermissionError(f"{cache} is writable by others, or not by this user")
+    except (OSError, RuntimeError) as exc:
+        raise _NoKernel(f"unwritable cache: {exc}") from exc
+    lib = cache / f"xoshiro_fill-{key:08x}.so"
+    if not lib.exists():
+        import subprocess  # only here: loading a cached library needs no compiler
+        if (cc := shutil.which("cc")) is None:
+            raise _NoKernel("no C compiler: cc is not on PATH")
+        # Built under a private name, then renamed: no process loads half a file.
+        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        try:
+            done = subprocess.run([cc, *_C_FLAGS, "-x", "c", "-", "-o", str(tmp)], input=_C_SOURCE,
+                                  capture_output=True, text=True, timeout=_COMPILE_TIMEOUT_S)
+            if done.returncode:
+                raise _NoKernel(f"compile error: {' '.join(done.stderr.split())[:300]}")
+            os.replace(tmp, lib)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _NoKernel(f"compile error: {exc}") from exc
+        finally:
+            tmp.unlink(missing_ok=True)
+    proto = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_uint64), ctypes.c_void_p,
+                             ctypes.c_int64, ctypes.c_double, ctypes.c_double)
+    try:
+        fn = proto(("xoshiro_fill", ctypes.CDLL(str(lib))))
+    except (OSError, AttributeError) as exc:
+        raise _NoKernel(f"load error: {exc}") from exc
+
+    def fill_c(s: list[int], out: np.ndarray, low: float, span: float) -> list[int]:
+        state = (ctypes.c_uint64 * 4)(*s)
+        fn(state, out.ctypes.data, out.size, low, span)
+        return state[:]
+
+    probe = splitmix64_stream(0x5EED, 4)
+    want, got = np.empty(257), np.empty(257)
+    if (fill_c(probe, got, -2.5, 6.5) != _fill_python(probe, want, -2.5, 6.5)
+            or got.tobytes() != want.tobytes()):
+        raise _NoKernel(f"self-check mismatch: {lib} differs from the Python loop")
+    return fill_c
+
+
+@functools.cache
+def _fill_loop():
+    """This process's fill loop: the C kernel, else ``_fill_python`` with a warning."""
+    try:
+        return _load_kernel()
+    except _NoKernel as exc:
+        warnings.warn(f"xoshiro256++ C fill unavailable ({exc}); filling at Python speed",
+                      RuntimeWarning, stacklevel=3)
+        return _fill_python

@@ -132,6 +132,9 @@ def test_synth_config_validation():
         SynthConfig(seeds=0)
     with pytest.raises(InvalidParameter):
         SynthConfig(depth=10)
+    for bad in ({"seeds": 2.5}, {"n": 10.0}, {"width": True}, {"m": 0}, {"depth": 300.0}):
+        with pytest.raises(InvalidParameter):
+            SynthConfig(**bad)
 
 
 def test_run_grid_cell_is_reproducible():

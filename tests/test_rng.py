@@ -2,15 +2,24 @@
 
 The frozen integer vectors come from the public-domain C reference
 implementations of splitmix64 and xoshiro256++; the Python port must
-reproduce them bit for bit.
+reproduce them bit for bit. The compiled fill kernel must in turn match the
+Python fill loop, byte for byte and state for state, and every way it can be
+unavailable must fall back to that loop with one warning.
 """
+
+import shutil
+import subprocess
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import rng as rng_module
 from oversmooth.errors import InvalidParameter
 from oversmooth.rng import Xoshiro256pp, splitmix64_stream, subseed
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 SPLITMIX_SEED0 = [
     16294208416658607535,
@@ -169,3 +178,102 @@ def test_nested_subseed_lanes_do_not_collide():
         for j in range(8):
             seen.add(subseed(subseed(99, i), j))
     assert len(seen) == 64
+
+
+@pytest.fixture
+def fresh_kernel(tmp_path, monkeypatch):
+    """An empty per-user cache, and a fill loop chosen afresh on first use."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    rng_module._fill_loop.cache_clear()
+    yield tmp_path / "cache" / "oversmooth"
+    rng_module._fill_loop.cache_clear()
+
+
+def python_fill(seed, count, low, high):
+    out = np.empty(count)
+    state = rng_module._fill_python(Xoshiro256pp(seed)._s, out, low, high - low)
+    return out, state
+
+
+FILL_SEEDS = (0, 42, (1 << 64) - 1, 0xDEADBEEFCAFEF00D)
+FILL_COUNTS = (0, 1, 31, 1024, 5003)
+FILL_RANGES = ((0.0, 1.0), (-0.1, 0.1), (-1e300, 1e300), (0.0, 1e-300))
+
+
+@needs_cc
+def test_c_fill_is_bit_identical_to_python_loop(fresh_kernel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rng_module._fill_loop() is not rng_module._fill_python
+    for seed in FILL_SEEDS:
+        for count in FILL_COUNTS:
+            for low, high in FILL_RANGES:
+                gen = Xoshiro256pp(seed)
+                got = gen.fill(count, low, high)
+                want, state = python_fill(seed, count, low, high)
+                assert got.tobytes() == want.tobytes(), (seed, count, low, high)
+                assert gen._s == state
+            # The next word after a fill continues the same stream.
+            ref = Xoshiro256pp(seed)
+            for _ in range(count):
+                ref.next_u64()
+            assert gen.next_u64() == ref.next_u64()
+
+
+@needs_cc
+def test_cached_kernel_loads_without_the_compiler(fresh_kernel, monkeypatch):
+    rng_module._fill_loop()
+    assert len(list(fresh_kernel.glob("*.so"))) == 1
+    rng_module._fill_loop.cache_clear()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran although the kernel was cached")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    monkeypatch.setenv("PATH", str(fresh_kernel))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rng_module._fill_loop() is not rng_module._fill_python
+
+
+def break_source(monkeypatch, old, new):
+    assert old in rng_module._C_SOURCE
+    monkeypatch.setattr(rng_module, "_C_SOURCE", rng_module._C_SOURCE.replace(old, new))
+
+
+def garbage_library(monkeypatch, tmp_path):
+    # The name comes from a build elsewhere: the dynamic loader would match a
+    # path this process has loaded before by name and never read it again.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "elsewhere"))
+    rng_module._fill_loop()
+    rng_module._fill_loop.cache_clear()
+    (built,) = (tmp_path / "elsewhere" / "oversmooth").glob("*.so")
+    cache = tmp_path / "cache" / "oversmooth"
+    cache.mkdir(mode=0o700, parents=True)
+    (cache / built.name).write_bytes(b"not a shared library")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+FALLBACKS = {
+    "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
+    "unwritable cache": lambda mp, tmp: (tmp / "cache").write_text("a file, not a directory"),
+    "compile error": lambda mp, tmp: break_source(mp, "#include <stdint.h>", "no C here"),
+    "timed out": lambda mp, tmp: mp.setattr(rng_module, "_COMPILE_TIMEOUT_S", 1e-6),
+    "load error": garbage_library,
+    "self-check mismatch": lambda mp, tmp: break_source(mp, "ROTL(s3, 45)", "ROTL(s3, 44)"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("cause", sorted(FALLBACKS))
+def test_unusable_kernel_falls_back_with_one_warning(cause, fresh_kernel, tmp_path, monkeypatch):
+    FALLBACKS[cause](monkeypatch, tmp_path)
+    gen = Xoshiro256pp(42)
+    with pytest.warns(RuntimeWarning) as record:
+        first = gen.fill(1024, -0.1, 0.1)
+        second = gen.fill(31, -0.1, 0.1)
+    assert len(record) == 1
+    assert cause in str(record[0].message)
+    want, state = python_fill(42, 1055, -0.1, 0.1)
+    assert np.concatenate([first, second]).tobytes() == want.tobytes()
+    assert gen._s == state
