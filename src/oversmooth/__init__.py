@@ -44,6 +44,7 @@ from .experiments import (
     toy_scenarios,
 )
 from .graph import (
+    CsrOperator,
     Graph,
     barabasi_albert,
     constant_unit_vector,

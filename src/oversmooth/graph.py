@@ -5,6 +5,11 @@ A Graph is an immutable edge list over vertices ``0..n-1``; every edge is
 stored exactly once as ``(i, j)`` with ``i < j``. The `.grf` text format
 round-trips graphs: a header line ``grf 1 <n> <num_edges>`` followed by one
 ``i j`` line per edge.
+
+Propagation runs on closed neighbourhoods (each vertex plus its neighbours),
+stored once per graph in CSR order; ``sym_norm_adjacency`` returns a
+``CsrOperator`` over them, whose ``@`` costs O(m) per column and whose dense
+copy is ``np.asarray(op)``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraph, InvalidParameter, ParseError
+from .errors import DisconnectedGraph, InvalidParameter, ParseError, ShapeMismatch
 from .rng import Xoshiro256pp
 from .validation import body_tokens, parse_header, read_text, write_lines
 
@@ -55,11 +60,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.concatenate(self.edge_arrays), minlength=self.n)
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +70,24 @@ class Graph:
             return empty, empty.copy()
         arr = np.asarray(self.edges, dtype=np.intp)
         return arr[:, 0].copy(), arr[:, 1].copy()
+
+    @cached_property
+    def closed_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed neighbourhoods in CSR order, ``(rows, indptr, indices)``:
+        entry ``k`` is ``(rows[k], indices[k])``, row ``i`` spans
+        ``indptr[i]:indptr[i + 1]``, is sorted and holds ``i`` itself, so no
+        row is empty. The arrays are read-only."""
+        heads, tails = self.edge_arrays
+        loops = np.arange(self.n, dtype=np.intp)
+        rows = np.concatenate([heads, tails, loops])
+        cols = np.concatenate([tails, heads, loops])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        for arr in (rows, indptr, cols):
+            arr.setflags(write=False)
+        return rows, indptr, cols
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -134,31 +153,59 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
     return g
 
 
-def sym_norm_adjacency(g: Graph) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class CsrOperator:
+    """A square sparse matrix in CSR order: entry ``(rows[k], indices[k])``
+    is ``data[k]``, and row ``i`` spans ``indptr[i]:indptr[i + 1]``. Every
+    row must be nonempty, as closed neighbourhoods are.
+
+    ``op @ x`` sums ``data * x[indices]`` row by row for a 1-D or 2-D ``x``;
+    ``np.asarray(op)`` is the dense copy.
+    """
+
+    rows: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.shape[0] - 1
+        return n, n
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ShapeMismatch(f"operator is {self.shape[0]}x{self.shape[1]}, operand has "
+                                f"shape {x.shape}")
+        gathered = x[self.indices]
+        weights = self.data if x.ndim == 1 else self.data[:, None]
+        return np.add.reduceat(weights * gathered, self.indptr[:-1], axis=0)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a dense view of a CsrOperator is always a copy")
+        a = np.zeros(self.shape)
+        a[self.rows, self.indices] = self.data
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def sym_norm_adjacency(g: Graph) -> CsrOperator:
     """Symmetrically normalized adjacency with self-loops:
     entry ``1 / sqrt((1 + d_i)(1 + d_j))`` on the closed neighborhood.
     """
     scale = 1.0 / np.sqrt(1.0 + g.degrees.astype(np.float64))
-    a = np.zeros((g.n, g.n))
-    ei, ej = g.edge_arrays
-    vals = scale[ei] * scale[ej]
-    a[ei, ej] = vals
-    a[ej, ei] = vals
-    np.fill_diagonal(a, scale * scale)
-    return a
+    rows, indptr, cols = g.closed_csr
+    return CsrOperator(rows, indptr, cols, scale[rows] * scale[cols])
 
 
 def row_stochastic_adjacency(g: Graph) -> np.ndarray:
-    """Row-normalized adjacency with self-loops: row ``i`` puts ``1/(1+d_i)``
-    on each closed-neighborhood entry, so rows sum to one.
+    """Row-normalized adjacency with self-loops, dense: row ``i`` puts
+    ``1/(1+d_i)`` on each closed-neighborhood entry, so rows sum to one.
     """
     inv = 1.0 / (1.0 + g.degrees.astype(np.float64))
-    a = np.zeros((g.n, g.n))
-    ei, ej = g.edge_arrays
-    a[ei, ej] = inv[ei]
-    a[ej, ei] = inv[ej]
-    np.fill_diagonal(a, inv)
-    return a
+    rows, indptr, cols = g.closed_csr
+    return np.asarray(CsrOperator(rows, indptr, cols, inv[rows]))
 
 
 def gcn_dominant_eigenvector(g: Graph) -> np.ndarray:

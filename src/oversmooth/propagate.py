@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .graph import Graph, sym_norm_adjacency
+from .graph import CsrOperator, Graph, sym_norm_adjacency
 from .rng import Xoshiro256pp
 from .validation import as_matrix, as_square_matrix, as_vector, require_length, require_positive_int
 
@@ -158,8 +158,12 @@ class LayerTrace:
 def gcn_layer(a, x, w, activation: Activation, bias=None, residual=None) -> np.ndarray:
     """One propagation step ``activation(a x w + bias)``, plus the residual
     tap ``x0 w2`` (``residual=(x0, w2)``) added outside the nonlinearity.
+
+    ``a`` is a dense matrix, checked here, or a ``CsrOperator``, which is
+    finite and square by construction and is used as it is.
     """
-    a = as_square_matrix(a, "propagation matrix")
+    if not isinstance(a, CsrOperator):
+        a = as_square_matrix(a, "propagation matrix")
     x = as_matrix(x, "features")
     w = as_matrix(w, "weights")
     if a.shape[1] != x.shape[0]:
@@ -188,11 +192,13 @@ def gcn_layer(a, x, w, activation: Activation, bias=None, residual=None) -> np.n
 
 
 def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarray:
-    """Row-stochastic attention over closed neighborhoods.
+    """Row-stochastic attention over closed neighborhoods, as a dense matrix.
 
-    Scores are ``leaky_relu(p1 . z_i + p2 . z_j)`` with ``z = x w``, turned
-    into rows by a max-shifted softmax restricted to each closed
-    neighborhood. Zero attention vectors give uniform rows ``1/(1+d_i)``.
+    Scores are ``leaky_relu(p1 . z_i + p2 . z_j)`` with ``z = x w``, computed
+    only on the closed-neighborhood entries of ``g.closed_csr`` and turned
+    into rows by a max-shifted softmax over each neighborhood (segment max,
+    exp, segment sum), then scattered into zeros. Zero attention vectors give
+    uniform rows ``1/(1+d_i)``.
     """
     x = as_matrix(x, "features")
     w = as_matrix(w, "weights")
@@ -208,19 +214,15 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
     require_length(p2, w.shape[1], "attention vector p2")
     if not 0.0 < leaky_alpha < 1.0:
         raise InvalidParameter(f"leaky_alpha must lie in (0, 1), got {leaky_alpha}")
+    rows, indptr, cols = g.closed_csr
     z = x @ w
-    src = z @ p1
-    dst = z @ p2
-    scores = src[:, None] + dst[None, :]
+    scores = (z @ p1)[rows] + (z @ p2)[cols]
     scores = np.where(scores >= 0.0, scores, leaky_alpha * scores)
-    support = np.zeros((g.n, g.n), dtype=bool)
-    ei, ej = g.edge_arrays
-    support[ei, ej] = True
-    support[ej, ei] = True
-    np.fill_diagonal(support, True)
-    masked = np.where(support, scores, -np.inf)
-    shifted = np.exp(masked - masked.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    starts = indptr[:-1]
+    shifted = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
+    att = np.zeros((g.n, g.n))
+    att[rows, cols] = shifted / np.add.reduceat(shifted, starts)[rows]
+    return att
 
 
 def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:

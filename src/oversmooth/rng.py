@@ -16,6 +16,7 @@ import functools
 import os
 import platform
 import shutil
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -202,6 +203,11 @@ def _fill_loop():
     try:
         return _load_kernel()
     except _NoKernel as exc:
+        # Attribute the warning to the first frame outside this file, however
+        # many of its methods (fill, matrix) the first draw came through.
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"xoshiro256++ C fill unavailable ({exc}); filling at Python speed",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=level)
         return _fill_python

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oversmooth.errors import DisconnectedGraph, InvalidParameter, IoError, ParseError
+from oversmooth.errors import (
+    DisconnectedGraph,
+    InvalidParameter,
+    IoError,
+    ParseError,
+    ShapeMismatch,
+)
 from oversmooth.graph import (
+    CsrOperator,
     Graph,
     barabasi_albert,
     constant_unit_vector,
@@ -106,10 +113,92 @@ def test_sym_norm_triangle_is_uniform_third():
 def test_sym_norm_is_symmetric_with_unit_spectral_radius():
     g = barabasi_albert(12, 2, seed=3)
     a = sym_norm_adjacency(g)
-    assert np.array_equal(a, a.T)
+    dense = np.asarray(a)
+    assert np.array_equal(dense, dense.T)
     # The degree vector certifies eigenvalue 1.
     u = np.sqrt(1.0 + g.degrees)
     assert_allclose(a @ u, u, rtol=1e-12)
+
+
+def dense_sym_norm(g: Graph) -> np.ndarray:
+    """Reference: the dense builder sym_norm_adjacency replaced."""
+    scale = 1.0 / np.sqrt(1.0 + g.degrees.astype(np.float64))
+    a = np.zeros((g.n, g.n))
+    ei, ej = g.edge_arrays
+    vals = scale[ei] * scale[ej]
+    a[ei, ej] = vals
+    a[ej, ei] = vals
+    np.fill_diagonal(a, scale * scale)
+    return a
+
+
+def dense_row_stochastic(g: Graph) -> np.ndarray:
+    """Reference: the dense builder row_stochastic_adjacency replaced."""
+    inv = 1.0 / (1.0 + g.degrees.astype(np.float64))
+    a = np.zeros((g.n, g.n))
+    ei, ej = g.edge_arrays
+    a[ei, ej] = inv[ei]
+    a[ej, ei] = inv[ej]
+    np.fill_diagonal(a, inv)
+    return a
+
+
+OPERATOR_GRAPHS = {
+    "ba2000": lambda: barabasi_albert(2000, 2, seed=1),
+    "ba12": lambda: barabasi_albert(12, 2, seed=3),
+    "isolated vertex": lambda: Graph.from_edges(4, [(0, 1)]),
+    "edgeless n=1": lambda: Graph.from_edges(1, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))
+def test_closed_csr_rows_are_sorted_closed_neighborhoods(name):
+    g = OPERATOR_GRAPHS[name]()
+    rows, indptr, cols = g.closed_csr
+    assert np.array_equal(np.diff(indptr), 1 + g.degrees)
+    assert np.array_equal(rows, np.repeat(np.arange(g.n), np.diff(indptr)))
+    for i in range(min(g.n, 50)):
+        want = sorted(g.neighbor_lists[i] + (i,))
+        assert cols[indptr[i]:indptr[i + 1]].tolist() == want
+    assert not any(arr.flags.writeable for arr in (rows, indptr, cols))
+
+
+def test_degrees_count_edge_endpoints():
+    g = barabasi_albert(300, 3, seed=4)
+    want = np.zeros(g.n, dtype=np.int64)
+    for i, j in g.edges:
+        want[i] += 1
+        want[j] += 1
+    assert g.degrees.dtype == np.int64
+    assert np.array_equal(g.degrees, want)
+    assert np.array_equal(Graph.from_edges(3, []).degrees, [0, 0, 0])
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))
+def test_sym_norm_operator_matches_dense_reference(name):
+    g = OPERATOR_GRAPHS[name]()
+    a = sym_norm_adjacency(g)
+    ref = dense_sym_norm(g)
+    assert isinstance(a, CsrOperator) and a.shape == (g.n, g.n)
+    assert np.array_equal(np.asarray(a), ref)
+    rng = np.random.default_rng(7)
+    for operand in (rng.standard_normal((g.n, 32)), rng.standard_normal(g.n)):
+        got, want = a @ operand, ref @ operand
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_sym_norm_operator_rejects_mismatched_operands():
+    a = sym_norm_adjacency(path3())
+    for bad in (np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2)), 1.0):
+        with pytest.raises(ShapeMismatch):
+            a @ bad
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))
+def test_row_stochastic_matches_dense_reference(name):
+    g = OPERATOR_GRAPHS[name]()
+    assert np.array_equal(row_stochastic_adjacency(g), dense_row_stochastic(g))
 
 
 def test_row_stochastic_path_middle_row():

@@ -112,6 +112,15 @@ def test_gat_attention_zero_vectors_give_degree_uniform_rows():
     a = gat_attention(x, np.eye(2), [0.0, 0.0], [0.0, 0.0], g)
     assert_allclose(a[1], [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
     assert_allclose(a[0], [0.5, 0.5, 0.0], rtol=1e-15)
+    # Exactly 1/(1+d_i), also with an isolated vertex and with no edges.
+    for g in (barabasi_albert(200, 3, seed=14), Graph.from_edges(4, [(0, 1)]),
+              Graph.from_edges(1, [])):
+        x = Xoshiro256pp(15).matrix(g.n, 2)
+        a = gat_attention(x, np.eye(2), [0.0, 0.0], [0.0, 0.0], g)
+        rows, _, cols = g.closed_csr
+        want = np.zeros((g.n, g.n))
+        want[rows, cols] = (1.0 / (1.0 + g.degrees))[rows]
+        assert np.array_equal(a, want)
 
 
 def test_gat_attention_is_row_stochastic_on_support():
@@ -127,6 +136,52 @@ def test_gat_attention_is_row_stochastic_on_support():
     support[ei, ej] = support[ej, ei] = True
     np.fill_diagonal(support, True)
     assert np.all(a[~support] == 0.0)
+
+
+def dense_gat_attention(x, w, p1, p2, g, leaky_alpha=0.2):
+    """Reference: the dense masked softmax gat_attention replaced."""
+    z = x @ w
+    scores = (z @ p1)[:, None] + (z @ p2)[None, :]
+    scores = np.where(scores >= 0.0, scores, leaky_alpha * scores)
+    support = np.zeros((g.n, g.n), dtype=bool)
+    ei, ej = g.edge_arrays
+    support[ei, ej] = True
+    support[ej, ei] = True
+    np.fill_diagonal(support, True)
+    masked = np.where(support, scores, -np.inf)
+    shifted = np.exp(masked - masked.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True), support
+
+
+@pytest.mark.parametrize("spread", [1.0, 400.0])
+def test_gat_attention_matches_dense_reference(spread):
+    # spread=400 puts scores hundreds apart within a row, so some
+    # exponentials underflow to exact zeros inside the support.
+    g = barabasi_albert(300, 2, seed=12)
+    rng = np.random.default_rng(13)
+    x = spread * rng.standard_normal((g.n, 8))
+    w = rng.standard_normal((8, 8)) / math.sqrt(8)
+    p1, p2 = rng.standard_normal(8), rng.standard_normal(8)
+    got = gat_attention(x, w, p1, p2, g, 0.2)
+    want, support = dense_gat_attention(x, w, p1, p2, g, 0.2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.all(got[~support] == 0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    if spread > 1.0:
+        assert np.any(want[support] == 0.0)
+
+
+def test_gcn_layer_operator_matches_dense_matrix():
+    g = barabasi_albert(500, 2, seed=16)
+    rng = Xoshiro256pp(17)
+    x = rng.matrix(g.n, 4, -1.0, 1.0)
+    w = rng.matrix(4, 4, -1.0, 1.0)
+    a = sym_norm_adjacency(g)
+    got = gcn_layer(a, x, w, tanh(), bias=np.ones(4), residual=(x, w))
+    want = gcn_layer(np.asarray(a), x, w, tanh(), bias=np.ones(4), residual=(x, w))
+    assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ShapeMismatch):
+        gcn_layer(a, x[:-1], w, tanh())
 
 
 def test_gat_attention_validation():

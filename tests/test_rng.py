@@ -277,3 +277,13 @@ def test_unusable_kernel_falls_back_with_one_warning(cause, fresh_kernel, tmp_pa
     want, state = python_fill(42, 1055, -0.1, 0.1)
     assert np.concatenate([first, second]).tobytes() == want.tobytes()
     assert gen._s == state
+
+
+@pytest.mark.parametrize("draw", [lambda gen: gen.fill(4), lambda gen: gen.matrix(2, 2)],
+                         ids=["fill", "matrix"])
+def test_fallback_warning_names_the_caller(draw, fresh_kernel, tmp_path):
+    (tmp_path / "cache").write_text("a file, not a directory")
+    with pytest.warns(RuntimeWarning) as record:
+        draw(Xoshiro256pp(3))
+    assert len(record) == 1
+    assert record[0].filename == __file__
