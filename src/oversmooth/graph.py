@@ -1,10 +1,10 @@
 """Undirected graphs, preferential-attachment generation, and the normalized
 operators message passing runs on.
 
-A Graph is an immutable edge list over vertices ``0..n-1``; every edge is
-stored exactly once as ``(i, j)`` with ``i < j``. The `.grf` text format
-round-trips graphs: a header line ``grf 1 <n> <num_edges>`` followed by one
-``i j`` line per edge.
+A Graph on vertices ``0..n-1`` is its sorted, read-only ``intp`` edge arrays
+``(heads, tails)``, each edge once with ``heads[k] < tails[k]``; every other
+view derives from them. The `.grf` text format round-trips graphs: a header
+``grf 1 <n> <num_edges>``, then one ``i j`` line per edge.
 
 Propagation runs on closed neighbourhoods (each vertex plus its neighbours),
 stored once per graph in CSR order; ``sym_norm_adjacency`` returns a
@@ -28,48 +28,41 @@ from .validation import body_tokens, parse_header, read_text, write_lines
 @dataclass(frozen=True, eq=False)
 class Graph:
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_arrays: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Validated constructor: rejects self-loops, duplicates, bad indices.
+        """Validated constructor: rejects anything but ``(i, j)`` pairs of
+        integers, self-loops, duplicates and bad indices.
 
         Edge pairs are canonicalized to ``i < j`` and sorted.
         """
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InvalidParameter(f"vertex count must be an integer >= 1, got {n!r}")
-        canon = []
-        seen = set()
-        for pair in edges:
-            i, j = int(pair[0]), int(pair[1])
-            if i == j:
-                raise InvalidParameter(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParameter(f"edge ({i}, {j}) out of range for n={n}")
-            e = (i, j) if i < j else (j, i)
-            if e in seen:
-                raise InvalidParameter(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        return cls(int(n), tuple(canon))
+        try:
+            pairs = np.array(list(edges) or np.empty((0, 2), dtype=np.intp))
+        except ValueError:  # pairs of unequal length
+            pairs = np.empty(0)
+        if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
+            raise InvalidParameter("edges must be (i, j) pairs of integers within int64")
+        heads, tails = pairs.min(axis=1), pairs.max(axis=1)
+        fault = _first_fault(n, heads, tails)
+        if fault is not None:
+            raise InvalidParameter(fault[1])
+        return _sorted_graph(n, heads, tails)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_arrays[0].shape[0]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a sorted tuple of ``(i, j)`` tuples, ``i < j``."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.edge_arrays), minlength=self.n)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index arrays (heads, tails) for vectorized edge sums."""
-        if not self.edges:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty.copy()
-        arr = np.asarray(self.edges, dtype=np.intp)
-        return arr[:, 0].copy(), arr[:, 1].copy()
 
     @cached_property
     def closed_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,42 +71,60 @@ class Graph:
         ``indptr[i]:indptr[i + 1]``, is sorted and holds ``i`` itself, so no
         row is empty. The arrays are read-only."""
         heads, tails = self.edge_arrays
-        loops = np.arange(self.n, dtype=np.intp)
-        rows = np.concatenate([heads, tails, loops])
-        cols = np.concatenate([tails, heads, loops])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        n = self.n
+        loops = np.arange(n, dtype=np.intp)
+        # The keys row * n + col are unique, so sorting them sorts by (row, col).
+        keys = np.concatenate([heads * n + tails, tails * n + heads, loops * (n + 1)])
+        rows, cols = np.divmod(np.sort(keys), n)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         for arr in (rows, indptr, cols):
             arr.setflags(write=False)
         return rows, indptr, cols
 
-    @cached_property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(v)) for v in nbrs)
+
+def _first_fault(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, str] | None:
+    """The edge rules, in order: no self-loop, ``heads[k] < tails[k]``, both
+    endpoints in ``0..n-1``, no repeat of an earlier edge. Returns the first
+    edge ``k`` that breaks one, with the first rule's message, or None."""
+    order = np.lexsort((tails, heads))
+    repeat = np.zeros(order.shape, dtype=bool)
+    repeat[order[1:]] = (np.diff(heads[order]) == 0) & (np.diff(tails[order]) == 0)
+    rules = (
+        (heads == tails, "self-loop at vertex {i}"),
+        (heads > tails, "edge endpoints must satisfy i < j, got {i} {j}"),
+        ((heads < 0) | (tails >= n), "edge ({i}, {j}) out of range for n={n}"),
+        (repeat, "duplicate edge ({i}, {j})"),
+    )
+    faults = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(rules) if bad.any()]
+    if not faults:
+        return None
+    k, rank = min(faults)
+    return k, rules[rank][1].format(i=heads[k], j=tails[k], n=n)
+
+
+def _sorted_graph(n: int, heads, tails) -> Graph:
+    """The graph on edges that keep ``_first_fault``'s rules, sorted by key."""
+    heads, tails = (np.asarray(a, dtype=np.intp) for a in (heads, tails))
+    arrays = np.divmod(np.sort(heads * n + tails), n)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Graph(int(n), arrays)
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
+    _, indptr, cols = g.closed_csr
+    indptr, cols = indptr.tolist(), cols.tolist()
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
-    count = 1
-    nbrs = g.neighbor_lists
     while stack:
         v = stack.pop()
-        for w in nbrs[v]:
+        for w in cols[indptr[v]:indptr[v + 1]]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
                 stack.append(w)
-    return count == g.n
+    return all(seen)
 
 
 def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
@@ -128,26 +139,44 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
         raise InvalidParameter(f"m must be an integer, got {m!r}")
     if not 1 <= m < n:
         raise InvalidParameter(f"m must satisfy 1 <= m < n, got m={m}, n={n}")
+    n, m = int(n), int(m)
     rng = Xoshiro256pp(seed)
-    edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
-    deg = np.zeros(n, dtype=np.float64)
-    deg[: m + 1] = m
+    heads = [i for i in range(m + 1) for _ in range(i + 1, m + 1)]
+    tails = [j for i in range(m + 1) for j in range(i + 1, m + 1)]
+    # Fenwick tree over the integer degrees: tree[k] holds the degree sum of
+    # vertices k - (k & -k) .. k - 1, so prefix sums and updates are O(log n).
+    tree = [0] * (n + 1)
+
+    def add_degree(v: int, delta: int) -> None:
+        k = v + 1
+        while k <= n:
+            tree[k] += delta
+            k += k & -k
+
+    for v in range(m + 1):
+        add_degree(v, m)
+    top = 1 << (n.bit_length() - 1)
+    total = m * (m + 1)
     for t in range(m + 1, n):
-        cum = np.cumsum(deg[:t])
-        total = float(cum[-1])
         chosen: set[int] = set()
         while len(chosen) < m:
-            r = rng.random() * total
-            # searchsorted(side='right') maps r in [cum[k-1], cum[k]) to k
-            target = int(np.searchsorted(cum, r, side="right"))
-            if target >= t:
-                target = t - 1
-            chosen.add(target)
+            # Degrees are integers, so the first prefix sum above int(r) is the
+            # first above r: the target of searchsorted(cumsum, r, "right").
+            slot = int(rng.random() * total)
+            target, step = 0, top
+            while step:
+                if target + step <= n and tree[target + step] <= slot:
+                    target += step
+                    slot -= tree[target]
+                step >>= 1
+            chosen.add(min(target, t - 1))
         for j in sorted(chosen):
-            edges.append((j, t))
-            deg[j] += 1.0
-        deg[t] = float(m)
-    g = Graph.from_edges(n, edges)
+            heads.append(j)
+            tails.append(t)
+            add_degree(j, 1)
+        add_degree(t, m)
+        total += 2 * m
+    g = _sorted_graph(n, heads, tails)
     if not is_connected(g):
         raise DisconnectedGraph("preferential attachment produced a disconnected graph")
     return g
@@ -234,33 +263,34 @@ def write_grf(g: Graph, path) -> None:
 
 
 def read_grf(path) -> Graph:
-    """Parse a `.grf` file; ParseError carries the 1-based offending line."""
+    """Parse a `.grf` file; ParseError carries the 1-based offending line,
+    the earliest one when several are at fault."""
     lines = read_text(path, "ascii").split("\n")
     n, num_edges = parse_header(lines[0], "grf 1 <n> <num_edges>", (1, 0))
-    edges = []
-    seen = set()
-    lineno = 1
+    heads, tails, linenos = [], [], []
+    error = None  # raised only if no edge on an earlier line breaks a rule
     for lineno, tokens in body_tokens(lines, 1):
-        if len(edges) == num_edges:
-            raise ParseError("more edge lines than the header promised", line=lineno)
+        if len(linenos) == num_edges:
+            error = ParseError("more edge lines than the header promised", line=lineno)
+            break
         try:
             i, j = map(int, tokens)
         except ValueError:
-            got = " ".join(tokens)
-            raise ParseError(f"expected integers 'i j', got {got!r}", line=lineno) from None
-        if i == j:
-            raise ParseError(f"self-loop at vertex {i}", line=lineno)
-        if not i < j:
-            raise ParseError(f"edge endpoints must satisfy i < j, got {i} {j}", line=lineno)
-        if not (0 <= i and j < n):
-            raise ParseError(f"edge ({i}, {j}) out of range for n={n}", line=lineno)
-        if (i, j) in seen:
-            raise ParseError(f"duplicate edge ({i}, {j})", line=lineno)
-        seen.add((i, j))
-        edges.append((i, j))
-    if len(edges) != num_edges:
-        raise ParseError(
-            f"header promised {num_edges} edges, file has {len(edges)}", line=lineno
-        )
-    edges.sort()
-    return Graph(n, tuple(edges))
+            error = ParseError(f"expected integers 'i j', got {' '.join(tokens)!r}", line=lineno)
+            break
+        heads.append(i)
+        tails.append(j)
+        linenos.append(lineno)
+    try:
+        pairs = np.array([heads, tails], dtype=np.intp)
+    except OverflowError:  # an endpoint beyond intp; object entries keep it exact
+        pairs = np.array([heads, tails], dtype=object)
+    fault = _first_fault(n, *pairs)
+    if fault is not None:
+        raise ParseError(fault[1], line=linenos[fault[0]])
+    if error is not None:
+        raise error
+    if len(linenos) < num_edges:
+        raise ParseError(f"header promised {num_edges} edges, file has {len(linenos)}",
+                         line=linenos[-1] if linenos else 1)
+    return _sorted_graph(n, *pairs)

@@ -99,11 +99,6 @@ class Xoshiro256pp:
         """Next float in [0, 1), from the top 53 bits of the next word."""
         return (self.next_u64() >> 11) * _INV53
 
-    def uniform(self, low: float, high: float) -> float:
-        if not high > low:
-            raise InvalidParameter(f"uniform needs high > low, got [{low}, {high})")
-        return low + (high - low) * self.random()
-
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by 53-bit scaling (desk-scale bounds)."""
         if bound < 1:

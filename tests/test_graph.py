@@ -1,5 +1,6 @@
 """Graph construction, generation, normalized operators, and .grf parsing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,15 @@ def path3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Reference: each vertex's sorted neighbours, from a loop over the edges."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [sorted(v) for v in nbrs]
+
+
 def test_from_edges_canonicalizes_and_sorts():
     g = Graph.from_edges(4, [(3, 1), (2, 0)])
     assert g.edges == ((0, 2), (1, 3))
@@ -48,12 +58,27 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(0, [])
     with pytest.raises(InvalidParameter):
         Graph.from_edges(2.5, [])
+    for edges in ([(0, 1.7)], [(0, 1, 2)], [("0", "2")], [(0,)], [(0, 1), (1,)], [(0, 2**63)]):
+        with pytest.raises(InvalidParameter):
+            Graph.from_edges(3, edges)
+
+
+def test_edge_arrays_are_sorted_read_only_intp():
+    for g in (Graph.from_edges(4, [(3, 1), (2, 0), (np.int64(1), np.int64(0))]),
+              Graph.from_edges(2, []), barabasi_albert(50, 3, seed=2)):
+        heads, tails = g.edge_arrays
+        for arr in (heads, tails):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        assert np.all(heads < tails)
+        assert list(zip(heads.tolist(), tails.tolist())) == sorted(g.edges)
 
 
 def test_degree_and_neighbor_views():
     g = path3()
     assert np.array_equal(g.degrees, [1, 2, 1])
-    assert g.neighbor_lists == ((1,), (0, 2), (1,))
+    assert neighbor_lists(g) == [[1], [0, 2], [1]]
     ei, ej = g.edge_arrays
     assert np.array_equal(ei, [0, 1])
     assert np.array_equal(ej, [1, 2])
@@ -89,6 +114,27 @@ def test_preferential_attachment_deterministic_and_seed_sensitive():
 def test_preferential_attachment_always_connected():
     for seed in range(10):
         assert is_connected(barabasi_albert(25, 2, seed=seed))
+
+
+# sha256 of the heads bytes then the tails bytes of barabasi_albert(n, m,
+# seed=0), recorded with the O(n^2) cumulative-sum sampler that the Fenwick
+# descent replaced: the same draws must pick the same targets.
+BA_EDGE_SHA256 = {
+    (2000, 1): "b05c105cd850fd65c85e85ff2618084813ed146d8ef52e08cd3a8fed34c0e881",
+    (2000, 2): "92166991ebc27f7eaf01c140e81c6e38a3b387af735fd2960809c45d3871ee3b",
+    (2000, 5): "0070569fe460fe5a24130aa7485290c719474ea85f4377926bff72a4ba01537f",
+    (8000, 1): "1a9070dffd20171c568f2d57c6f0e4df7caf605ab2f6a65a10d27fd1d545a38f",
+    (8000, 2): "0bf309298301e9460d95355453f7f5a165e389d60e9e86906d656b429df63953",
+    (8000, 5): "3f44483287bdca7b56bc9838b534f3c1980ac69255621f5c185af4eab1fd3f13",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(BA_EDGE_SHA256))
+def test_preferential_attachment_edges_are_pinned(n, m):
+    g = barabasi_albert(n, m, seed=0)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in g.edge_arrays)).hexdigest()
+    assert digest == BA_EDGE_SHA256[(n, m)]
+    assert g.num_edges == m * (m + 1) // 2 + m * (n - m - 1)
 
 
 def test_preferential_attachment_validation():
@@ -155,10 +201,11 @@ OPERATOR_GRAPHS = {
 def test_closed_csr_rows_are_sorted_closed_neighborhoods(name):
     g = OPERATOR_GRAPHS[name]()
     rows, indptr, cols = g.closed_csr
+    nbrs = neighbor_lists(g)
     assert np.array_equal(np.diff(indptr), 1 + g.degrees)
     assert np.array_equal(rows, np.repeat(np.arange(g.n), np.diff(indptr)))
     for i in range(min(g.n, 50)):
-        want = sorted(g.neighbor_lists[i] + (i,))
+        want = sorted(nbrs[i] + [i])
         assert cols[indptr[i]:indptr[i + 1]].tolist() == want
     assert not any(arr.flags.writeable for arr in (rows, indptr, cols))
 
@@ -270,6 +317,35 @@ def test_grf_parse_errors_carry_line_numbers(tmp_path):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.line == lineno, text
+
+
+def test_grf_earliest_faulty_line_is_reported(tmp_path):
+    cases = [
+        # line 3 is out of range, line 4 repeats line 2
+        ("grf 1 3 3\n0 1\n1 3\n0 1\n", 3, "out of range"),
+        ("grf 1 3 2\n1 1\n0 x\n", 2, "self-loop"),
+        ("grf 1 3 2\n0 x\n1 1\n", 2, "expected integers"),
+        ("grf 1 3 1\n2 1\n0 1\n", 2, "i < j"),
+    ]
+    p = tmp_path / "bad.grf"
+    for text, lineno, words in cases:
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_grf(p)
+        assert err.value.line == lineno and words in str(err.value), text
+
+
+@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 3)], [(0, 1), (0, 1)]])
+def test_grf_and_from_edges_share_edge_rule_messages(tmp_path, edges):
+    p = tmp_path / "bad.grf"
+    p.write_text(f"grf 1 3 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    with pytest.raises(ParseError) as parsed:
+        read_grf(p)
+    with pytest.raises(InvalidParameter) as built:
+        Graph.from_edges(3, edges)
+    line = len(edges) + 1
+    assert parsed.value.line == line
+    assert str(parsed.value) == f"line {line}: {built.value}"
 
 
 def test_grf_blank_lines_are_ignored(tmp_path):

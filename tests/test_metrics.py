@@ -289,10 +289,10 @@ def test_rank_bound_holds_on_random_pairs():
     for _ in range(100):
         n = 2 + rng.randbelow(6)
         d = 1 + rng.randbelow(4)
-        x = np.array([[rng.uniform(-2.0, 2.0) for _ in range(d)] for _ in range(n)])
+        x = rng.matrix(n, d, -2.0, 2.0)
         if not np.any(x):
             x[0, 0] = 1.0
-        u = np.array([rng.uniform(0.1, 1.0) for _ in range(n)])
+        u = rng.fill(n, 0.1, 1.0)
         u /= math.sqrt(float(u @ u))
         lhs, rhs = numrank_upper_bound_check(x, u)
         assert rhs - lhs >= -1e-10

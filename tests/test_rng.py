@@ -163,8 +163,6 @@ def test_randbelow_one_is_always_zero():
 def test_parameter_validation():
     rng = Xoshiro256pp(0)
     with pytest.raises(InvalidParameter):
-        rng.uniform(1.0, 1.0)
-    with pytest.raises(InvalidParameter):
         rng.randbelow(0)
     with pytest.raises(InvalidParameter):
         rng.fill(-1)
