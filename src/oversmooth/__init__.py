@@ -62,8 +62,7 @@ from .hilbert import (
     hilbert_distance,
 )
 from .linalg import (
-    frobenius_norm,
-    power_iteration,
+    dominant_eigenpair,
     singular_values,
     spectral_gap,
 )

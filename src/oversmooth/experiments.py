@@ -29,7 +29,7 @@ from .graph import (
     gcn_dominant_eigenvector,
     sym_norm_adjacency,
 )
-from .linalg import power_iteration, spectral_gap
+from .linalg import dominant_eigenpair, spectral_gap
 from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
 from .propagate import (
     Activation,
@@ -346,9 +346,7 @@ def rate_check_matrix(
             "rate check needs sign-symmetric or identity weights; "
             f"got {scheme.kind!r}"
         )
-    lam1, u = power_iteration(a)
-    if lam1 == 0.0:
-        raise DegenerateSpectrum("dominant eigenvalue is zero")
+    _, u = dominant_eigenpair(a)
     predicted = spectral_gap(a)
     rng = Xoshiro256pp(seed)
     n = a.shape[0]

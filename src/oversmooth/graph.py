@@ -131,7 +131,8 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
     """Preferential-attachment graph: complete seed on ``m + 1`` vertices,
     then each arriving vertex attaches ``m`` edges to distinct existing
     vertices with probability proportional to their degree at arrival time
-    (duplicate targets are redrawn).
+    (duplicate targets are redrawn). The graph is connected by construction:
+    the seed is, and every arriving vertex links to ``m >= 1`` earlier ones.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidParameter(f"n must be an integer >= 2, got {n!r}")
@@ -176,10 +177,7 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
             add_degree(j, 1)
         add_degree(t, m)
         total += 2 * m
-    g = _sorted_graph(n, heads, tails)
-    if not is_connected(g):
-        raise DisconnectedGraph("preferential attachment produced a disconnected graph")
-    return g
+    return _sorted_graph(n, heads, tails)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from .errors import (
     NonpositiveColumn,
 )
 from .rng import Xoshiro256pp
-from .validation import as_matrix, as_square_matrix, as_vector, require_length
+from .validation import as_matrix, as_square_matrix, as_vector, require_length, require_positive_int
 
 # Perturbations closer to the center than this are skipped as degenerate.
 DEGENERATE_RADIUS = 1e-12
@@ -86,8 +86,7 @@ def contraction_ratio(
     require_length(u, a.shape[0], "u")
     if not radius_cap > 0.0:
         raise InvalidParameter(f"radius_cap must be > 0, got {radius_cap}")
-    if samples < 1:
-        raise InvalidParameter(f"samples must be >= 1, got {samples}")
+    require_positive_int(samples, "samples")
     w = a @ u
     lam = float(u @ w) / float(u @ u)
     if lam <= 0.0:
@@ -124,7 +123,6 @@ def activation_eigenvector_check(activation, u, t_values) -> bool:
     """
     u = _check_cone(as_vector(u, "u"), "u")
     unit = u / math.sqrt(float(u @ u))
-    checked = 0
     for t in t_values:
         t = float(t)
         if t == 0.0:
@@ -136,5 +134,4 @@ def activation_eigenvector_check(activation, u, t_values) -> bool:
         resid = y - float(unit @ y) * unit
         if math.sqrt(float(resid @ resid)) > 1e-12 * ny:
             return False
-        checked += 1
     return True

@@ -1,9 +1,12 @@
-"""Dense linear algebra kernels: norms, singular values, dominant eigenpairs.
+"""Dense linear algebra kernels: singular values, dominant eigenpair, spectral gap.
 
 Singular values go through the Gram matrix of the smaller dimension and
 LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), so a
 tall-and-thin feature matrix (the common case here) costs one small dense
-eigenproblem. Every metric computes its singular values this way.
+eigenproblem. Every metric computes its singular values this way. The
+dominant eigenpair and the spectral gap of a propagation matrix, which need
+not be symmetric, come from one call to LAPACK's general eigensolver
+(``numpy.linalg.eig``).
 """
 
 from __future__ import annotations
@@ -12,21 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateSpectrum, InvalidParameter
-from .validation import as_matrix, as_square_matrix, as_vector, require_length
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
-
-
-def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    m = as_matrix(m)
-    return math.sqrt(float(np.sum(m * m)))
-
-
-def _vec_norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v @ v))
+from .errors import ConvergenceFailure, DegenerateSpectrum
+from .validation import as_matrix, as_square_matrix
 
 
 def pow2_scale(m) -> float:
@@ -67,99 +57,43 @@ def singular_values(m) -> np.ndarray:
     return np.sqrt(np.maximum(vals, 0.0)) * scale
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if x != 0.0:
-            return -v if x < 0.0 else v
-    return v
-
-
-def power_iteration(
-    a,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-    start=None,
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair by normalized power iteration.
-
-    Returns ``(eigenvalue, unit eigenvector)`` once the Rayleigh residual
-    satisfies ``||A v - lambda v|| <= tol * |lambda|``; the eigenvector's
-    first nonzero component is made positive. The default start is the
-    normalized all-ones vector; if the iterate is ever annihilated exactly,
-    the iteration restarts from the next standard basis vector (a zero matrix
-    legitimately returns eigenvalue 0). Requires a real dominant eigenvalue,
-    simple in magnitude; complex or tied dominant pairs exhaust ``max_iter``.
+def _spectrum(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a square matrix in descending magnitude (ties keep
+    LAPACK's order) and the matching unit eigenvector columns, from LAPACK's
+    general eigensolver. Raises ConvergenceFailure if LAPACK does not
+    converge.
     """
     a = as_square_matrix(a)
-    n = a.shape[0]
-    if not tol >= 0.0:
-        raise InvalidParameter(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise InvalidParameter(f"max_iter must be >= 1, got {max_iter}")
-    if start is None:
-        v = np.full(n, 1.0 / math.sqrt(n))
-    else:
-        v = as_vector(start, "start")
-        require_length(v, n, "start")
-        nv = _vec_norm(v)
-        if nv == 0.0:
-            raise InvalidParameter("start vector must be nonzero")
-        v = v / nv
-    next_basis = 0
-    for _ in range(max_iter):
-        w = a @ v
-        nw = _vec_norm(w)
-        if nw == 0.0:
-            while next_basis < n:
-                e = np.zeros(n)
-                e[next_basis] = 1.0
-                next_basis += 1
-                if _vec_norm(a @ e) != 0.0:
-                    v = e
-                    break
-            else:
-                # Every basis vector is annihilated: the matrix is zero and
-                # (0, v) is an exact eigenpair.
-                return 0.0, _sign_fix(v)
-            continue
-        lam = float(v @ w)
-        if _vec_norm(w - lam * v) <= tol * abs(lam):
-            return lam, _sign_fix(v)
-        v = w / nw
-    raise ConvergenceFailure(
-        f"power iteration did not meet tol={tol} within {max_iter} iterations"
-    )
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK eigensolver failed: {exc}") from exc
+    order = np.argsort(-np.abs(vals), kind="stable")
+    return vals[order], vecs[:, order]
 
 
-def spectral_gap(a, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
-    """|second eigenvalue| / |dominant eigenvalue|, via one deflation step.
+def dominant_eigenpair(a) -> tuple[float, np.ndarray]:
+    """``(eigenvalue, unit eigenvector)`` for the eigenvalue of largest
+    magnitude; the eigenvector's first nonzero component is positive.
 
-    The dominant right and left eigenpairs are found by power iteration, the
-    dominant term ``lambda1 * u v^T`` (with ``v^T u = 1``) is subtracted, and
-    power iteration runs again on the deflated matrix from an alternating
-    start vector (the all-ones start is annihilated exactly when the
-    dominant right eigenvector is constant, as for row-stochastic matrices).
-    A deflated matrix with negligible mass means the spectrum past the
-    dominant eigenvalue is zero, so the gap is 0.
+    Raises DegenerateSpectrum when that eigenvalue is zero or not real.
     """
-    a = as_square_matrix(a)
-    n = a.shape[0]
-    lam1, u = power_iteration(a, tol, max_iter)
-    if lam1 == 0.0:
+    vals, vecs = _spectrum(a)
+    lam = vals[0]
+    if lam == 0.0 or lam.imag != 0.0:
+        raise DegenerateSpectrum(f"dominant eigenvalue {lam} is zero or not real")
+    v = vecs[:, 0].real
+    if v[np.flatnonzero(v)[0]] < 0.0:
+        v = -v
+    return float(lam.real), v
+
+
+def spectral_gap(a) -> float:
+    """|second eigenvalue| / |dominant eigenvalue|, with eigenvalues ordered
+    by magnitude; 0.0 for a 1x1 matrix. Raises DegenerateSpectrum when the
+    dominant eigenvalue is zero.
+    """
+    mags = np.abs(_spectrum(a)[0])
+    if mags[0] == 0.0:
         raise DegenerateSpectrum("dominant eigenvalue is zero; gap undefined")
-    if n == 1:
-        return 0.0
-    lam_left, v_left = power_iteration(a.T, tol, max_iter)
-    dot = float(v_left @ u)
-    if abs(dot) < 1e-300:
-        raise DegenerateSpectrum("left and right dominant eigenvectors are orthogonal")
-    v = v_left / dot
-    b = a - lam1 * np.outer(u, v)
-    if frobenius_norm(b) <= 1e-12 * abs(lam1):
-        return 0.0
-    alt = np.empty(n)
-    alt[0::2] = 1.0
-    alt[1::2] = -1.0
-    alt /= _vec_norm(alt)
-    lam2, _ = power_iteration(b, tol, max_iter, start=alt)
-    return abs(lam2) / abs(lam1)
+    return float(mags[1] / mags[0]) if mags.shape[0] > 1 else 0.0

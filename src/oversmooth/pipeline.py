@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
+from .experiments import metric_series
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
 from .linalg import pow2_scale
 from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
@@ -269,15 +270,13 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
     correlations: dict = {}
     failures: dict = {}
     for metric in CANONICAL_METRICS:
-        shift = 1.0 if metric in _RANK_METRICS else 0.0
         logs = []
-        for manifest, report in zip(manifests, reports):
-            value = getattr(report, metric)
-            if value is None:
+        for manifest, value in zip(manifests, metric_series(reports, metric)):
+            if math.isnan(value):
                 failures[metric] = f"undefined at depth {manifest.depth}"
                 correlations[metric] = None
                 break
-            logs.append(math.log(max(value - shift, CLAMP_FLOOR)))
+            logs.append(math.log(max(value, CLAMP_FLOOR)))
         else:
             try:
                 correlations[metric] = pearson(logs, accuracies)

@@ -188,8 +188,8 @@ def test_fitted_rates_track_spectral_gaps(acceptance):
             continue
         found += 1
         # Per-layer renormalization tracks the off-direction ratio only down
-        # to the ~1e-12 precision of the dominant direction, so the fit
-        # window must end while gap^depth is still far above that floor.
+        # to the rounding-level precision of the dominant direction, so the
+        # fit window must end while gap^depth is still far above that floor.
         depth = max(16, min(60, int(-9.0 * math.log(10.0) / math.log(gap))))
         rep = rate_check(g, width=16, depth=depth, seed=seed)
         rel = abs(rep.measured_rate - rep.predicted_rate) / rep.predicted_rate

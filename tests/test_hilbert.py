@@ -110,8 +110,9 @@ def test_contraction_ratio_parameter_validation():
     a = np.eye(2)
     with pytest.raises(InvalidParameter):
         contraction_ratio(a, [1.0, 1.0], radius_cap=0.0)
-    with pytest.raises(InvalidParameter):
-        contraction_ratio(a, [1.0, 1.0], samples=0)
+    for samples in (0, 2.5, True):
+        with pytest.raises(InvalidParameter):
+            contraction_ratio(a, [1.0, 1.0], samples=samples)
 
 
 def test_contraction_ratio_all_samples_degenerate():

@@ -1,8 +1,10 @@
-"""Dense kernel tests: singular values, power iteration, spectral gap.
+"""Dense kernel tests: singular values, dominant eigenpair, spectral gap.
 
 The Gram-eigensolver singular values are checked against two independent
 oracles: closed-form roots of 2x2 Gram matrices, and LAPACK's SVD driver
-(``numpy.linalg.svd``) on the matrix itself.
+(``numpy.linalg.svd``) on the matrix itself. The general eigensolve is
+checked against the closed-form GCN eigenvector and against LAPACK's
+symmetric eigensolver (``numpy.linalg.eigvalsh``).
 """
 
 import math
@@ -11,13 +13,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oversmooth.errors import ConvergenceFailure, DegenerateSpectrum, InvalidParameter
-from oversmooth.linalg import (
-    frobenius_norm,
-    power_iteration,
-    singular_values,
-    spectral_gap,
-)
+from oversmooth.errors import ConvergenceFailure, DegenerateSpectrum
+from oversmooth.graph import barabasi_albert, gcn_dominant_eigenvector, sym_norm_adjacency
+from oversmooth.linalg import dominant_eigenpair, singular_values, spectral_gap
 from oversmooth.rng import Xoshiro256pp
 
 
@@ -26,10 +24,6 @@ def closed_form_2x2(a: float, b: float, c: float) -> np.ndarray:
     mean = 0.5 * (a + c)
     r = math.hypot(0.5 * (a - c), b)
     return np.array([mean + r, mean - r])
-
-
-def test_frobenius_norm_three_four_five():
-    assert frobenius_norm([[3.0, 4.0]]) == 5.0
 
 
 def test_singular_values_rank_one_pinned():
@@ -95,53 +89,64 @@ def test_singular_values_lapack_failure_is_convergence_failure(monkeypatch):
         singular_values([[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_power_iteration_diagonal():
-    lam, v = power_iteration(np.diag([2.0, 1.0]))
+def test_dominant_eigenpair_diagonal():
+    lam, v = dominant_eigenpair(np.diag([2.0, 1.0]))
     assert_allclose(lam, 2.0, rtol=1e-12)
     assert_allclose(v, [1.0, 0.0], atol=1e-11)
 
 
-def test_power_iteration_stochastic_two_state():
-    lam, v = power_iteration(np.array([[0.0, 1.0], [0.5, 0.5]]))
+def test_dominant_eigenpair_stochastic_two_state():
+    # LAPACK returns the negated vector here, so the sign fix is exercised.
+    lam, v = dominant_eigenpair(np.array([[0.0, 1.0], [0.5, 0.5]]))
     assert_allclose(lam, 1.0, rtol=1e-12)
     assert_allclose(v, np.full(2, 1.0 / math.sqrt(2.0)), rtol=1e-12)
 
 
-def test_power_iteration_sign_convention():
-    # Dominant eigenvector of -2 e1 e1^T points along -e1; the first nonzero
-    # component must still come out positive.
-    lam, v = power_iteration(np.diag([-2.0, 1.0]), start=[1.0, 1e-8])
-    assert_allclose(lam, -2.0, rtol=1e-10)
+def test_dominant_eigenpair_sign_convention():
+    # The dominant eigenvectors point along -e1 and along e2 (a zero first
+    # component); the first nonzero component must come out positive.
+    lam, v = dominant_eigenpair(np.diag([-2.0, 1.0]))
+    assert_allclose(lam, -2.0, rtol=1e-12)
     assert v[0] > 0.0
+    lam, v = dominant_eigenpair(np.diag([1.0, -3.0]))
+    assert_allclose(lam, -3.0, rtol=1e-12)
+    assert_allclose(v, [0.0, 1.0], atol=1e-12)
 
 
-def test_power_iteration_zero_matrix():
-    lam, v = power_iteration(np.zeros((3, 3)))
-    assert lam == 0.0
-    assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-15)
-
-
-def test_power_iteration_restarts_past_annihilated_start():
-    # The all-ones start is killed by this matrix; the basis restart must
-    # still find the dominant eigenvalue.
+def test_dominant_eigenpair_orthogonal_to_all_ones():
+    # The dominant eigenvector is orthogonal to the all-ones vector, the
+    # start that power iteration would use.
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    lam, v = power_iteration(a)
-    assert_allclose(lam, 2.0, rtol=1e-10)
-    assert_allclose(v, [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)], atol=1e-10)
+    lam, v = dominant_eigenpair(a)
+    assert_allclose(lam, 2.0, rtol=1e-12)
+    assert_allclose(v, [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)], atol=1e-12)
 
 
-def test_power_iteration_rotation_never_converges():
+def test_dominant_eigenpair_matches_closed_form_gcn_direction():
+    for seed in range(24):
+        g = barabasi_albert(8 + seed, 2, seed=seed)
+        lam, v = dominant_eigenpair(sym_norm_adjacency(g))
+        assert abs(lam - 1.0) <= 1e-12
+        assert_allclose(v, gcn_dominant_eigenvector(g), rtol=0.0, atol=1e-12)
+        assert abs(float(v @ v) - 1.0) <= 1e-12
+
+
+def test_dominant_eigenpair_degenerate_spectra_raise():
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
+    for a in (rotation, np.zeros((3, 3))):
+        with pytest.raises(DegenerateSpectrum):
+            dominant_eigenpair(a)
+
+
+def test_eigensolver_lapack_failure_is_convergence_failure(monkeypatch):
+    def no_convergence(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
     with pytest.raises(ConvergenceFailure):
-        power_iteration(np.array([[0.0, -1.0], [1.0, 0.0]]), max_iter=500)
-
-
-def test_power_iteration_validation():
-    with pytest.raises(InvalidParameter):
-        power_iteration(np.eye(2), tol=-1.0)
-    with pytest.raises(InvalidParameter):
-        power_iteration(np.eye(2), max_iter=0)
-    with pytest.raises(InvalidParameter):
-        power_iteration(np.eye(2), start=[0.0, 0.0])
+        dominant_eigenpair(np.eye(2))
+    with pytest.raises(ConvergenceFailure):
+        spectral_gap(np.eye(2))
 
 
 def test_spectral_gap_diagonal():
@@ -164,6 +169,13 @@ def test_spectral_gap_known_spectrum():
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     a = q @ np.diag(lams) @ q.T
     assert_allclose(spectral_gap(a), 1.7 / 3.0, rtol=1e-8)
+
+
+def test_spectral_gap_matches_symmetric_eigensolver():
+    for seed in range(20):
+        a = np.asarray(sym_norm_adjacency(barabasi_albert(8 + 3 * seed, 2, seed=100 + seed)))
+        mags = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
+        assert_allclose(spectral_gap(a), mags[1] / mags[0], rtol=1e-12)
 
 
 def test_spectral_gap_zero_matrix_raises():

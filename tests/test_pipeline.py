@@ -270,6 +270,9 @@ def test_correlate_matches_hand_computed_pearson(tmp_path):
     num = sum((x - mx) * (y - my) for x, y in zip(xs, accs))
     den = math.sqrt(sum((x - mx) ** 2 for x in xs) * sum((y - my) ** 2 for y in accs))
     assert abs(report.correlations["e_proj"] - num / den) <= 1e-12
+    # The singular values are 1 and t, so num_rank - 1 is t^2 as well: rank
+    # metrics are correlated after the shift by -1.
+    assert abs(report.correlations["num_rank"] - num / den) <= 1e-12
     assert report.run_count == 3
     assert report.accuracy_ratio == 0.2 / 0.9
     assert set(report.correlations) == set(CANONICAL_METRICS)
