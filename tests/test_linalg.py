@@ -131,11 +131,17 @@ def test_dominant_eigenpair_matches_closed_form_gcn_direction():
         assert abs(float(v @ v) - 1.0) <= 1e-12
 
 
-def test_dominant_eigenpair_degenerate_spectra_raise():
-    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
-    for a in (rotation, np.zeros((3, 3))):
-        with pytest.raises(DegenerateSpectrum):
-            dominant_eigenpair(a)
+def test_power_iteration_rotation_never_converges():
+    # The rotation has no real dominant direction (eigenvalues +-i): an
+    # iteration never settles, and the eigensolve reports a degenerate spectrum.
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateSpectrum):
+        dominant_eigenpair(rotation)
+
+
+def test_power_iteration_zero_matrix():
+    with pytest.raises(DegenerateSpectrum):
+        dominant_eigenpair(np.zeros((3, 3)))
 
 
 def test_eigensolver_lapack_failure_is_convergence_failure(monkeypatch):
