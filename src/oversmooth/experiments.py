@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DegenerateSpectrum,
+    DisconnectedGraph,
     InvalidParameter,
     RatioUnderflow,
     SeriesTooShort,
@@ -27,6 +28,7 @@ from .graph import (
     barabasi_albert,
     constant_unit_vector,
     gcn_dominant_eigenvector,
+    is_connected,
     sym_norm_adjacency,
 )
 from .linalg import dominant_eigenpair, spectral_gap
@@ -411,5 +413,9 @@ def rate_check(
     weight_scheme: WeightScheme | None = None,
     seed: int = 0,
 ) -> RateReport:
-    """Rate check on a graph's symmetrically normalized adjacency."""
+    """Rate check on a graph's symmetrically normalized adjacency. Requires a
+    connected graph: otherwise eigenvalue 1 is repeated and the direction is
+    an arbitrary vector of its eigenspace."""
+    if not is_connected(g):
+        raise DisconnectedGraph("rate check needs a connected graph")
     return rate_check_matrix(sym_norm_adjacency(g), width, depth, weight_scheme, seed)

@@ -2,16 +2,20 @@
 
 Matrices travel as `.dmat` text (header ``dmat 1 <rows> <cols>``, then one
 space-separated row per line, shortest round-trip float formatting so a
-write/read cycle is bit-exact) or as headerless rectangular CSV. A run
-manifest is a JSON object describing one trained run: its depth, final
-accuracy, per-layer feature files, an architecture label, and which
-direction vector to measure against. ``correlate`` turns at least three such
-runs into per-metric Pearson correlations between log-metric values at the
-final layer and the accuracies.
+write/read cycle is bit-exact) or as headerless rectangular CSV. A `.dmat`
+body is parsed by a cached C kernel when it can vouch for it, and otherwise
+by the Python reader ``_load_dmat``, its specification, with the same
+result. A run manifest is a JSON object describing one trained run: its
+depth, final accuracy, per-layer feature files, an architecture label, and
+which direction vector to measure against. ``correlate`` turns at least
+three such runs into per-metric Pearson correlations between log-metric
+values at the final layer and the accuracies.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -20,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._native import NoKernel, load_function, warn_fallback
 from .errors import (
     DegenerateInput,
     InsufficientRuns,
@@ -33,7 +38,15 @@ from .experiments import metric_series
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
 from .linalg import pow2_scale
 from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
-from .validation import as_matrix, body_tokens, parse_header, read_text, write_lines
+from .validation import (
+    as_matrix,
+    body_tokens,
+    decode_text,
+    parse_header,
+    read_bytes,
+    read_text,
+    write_lines,
+)
 
 # Metric values are clamped here before the log transform.
 CLAMP_FLOOR = 1e-15
@@ -101,14 +114,125 @@ def _load_csv(lines: list[str]) -> np.ndarray:
     return np.asarray(rows)
 
 
+# The body walk of ``_load_dmat`` in C, for the files it can vouch for: ASCII
+# tokens [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? separated by spaces, lines ended by
+# '\n' (blank ones skipped), exactly ``rows`` lines of ``cols`` tokens, and
+# every token read whole by strtod without ERANGE. Each such token is a
+# float() literal and both round correctly, so the values are float()'s bit
+# for bit. Anything else (tabs, '\r', nan, hex, overflow, subnormals, a wrong
+# count, a locale whose decimal point is not '.') returns 0 and is left to
+# the Python reader. ``buf`` is a bytes object, so buf[len] is a NUL.
+_DMAT_SOURCE = r"""
+#include <errno.h>
+#include <stdint.h>
+#include <stdlib.h>
+#define DIGIT(c) ((c) >= '0' && (c) <= '9')
+int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_t cols,
+               double *out) {
+    const char *p = buf + start, *end = buf + len;
+    int64_t row = 0, col = 0;
+    for (;;) {
+        if (p == end || *p == '\n') {
+            if (col) {
+                if (col != cols) return 0;
+                row++;
+                col = 0;
+            }
+            if (p == end) return row == rows;
+            p++;
+            continue;
+        }
+        if (*p == ' ') { p++; continue; }
+        if (row == rows || col == cols) return 0;
+        const char *token = p, *digits;
+        if (*p == '+' || *p == '-') p++;
+        for (digits = p; p < end && DIGIT(*p); p++) {}
+        int mantissa = p > digits;
+        if (p < end && *p == '.') {
+            for (digits = ++p; p < end && DIGIT(*p); p++) {}
+            mantissa |= p > digits;
+        }
+        if (!mantissa) return 0;
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            if (++p < end && (*p == '+' || *p == '-')) p++;
+            for (digits = p; p < end && DIGIT(*p); p++) {}
+            if (p == digits) return 0;
+        }
+        if (p < end && *p != ' ' && *p != '\n') return 0;
+        char *stop;
+        errno = 0;
+        double value = strtod(token, &stop);
+        if (stop != p || errno) return 0;
+        out[row * cols + col++] = value;
+    }
+}
+"""
+_DMAT_FLAGS = ("-O2", "-fPIC", "-shared")
+# Odd but valid spellings, blank and space-only lines, leading and trailing
+# spaces, no final newline, and values that stress rounding: what the kernel
+# must parse exactly as ``_load_dmat`` before it is used.
+_DMAT_PROBE = (
+    b"dmat 1 3 4\n\n 0.1 -2.5e-3  +1E+300 -0.\n   \n.5 7 9007199254740993 -0\n"
+    b"2.2250738585072014e-308 123456789012345678901234567890 1.7976931348623157e308 4e-0"
+)
+
+
+def _load_dmat_kernel():
+    """The C body walk, built and checked; raises NoKernel naming why it is unusable."""
+    proto = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                             ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    fn = load_function("dmat_parse", _DMAT_SOURCE, _DMAT_FLAGS, proto)
+
+    def parse_c(data: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
+        out = np.empty((rows, cols))
+        return out if fn(data, start, len(data), rows, cols, out.ctypes.data) else None
+
+    want = _load_dmat(_DMAT_PROBE.decode("ascii").split("\n"))
+    got = parse_c(_DMAT_PROBE, _DMAT_PROBE.index(b"\n") + 1, *want.shape)
+    if got is None or got.tobytes() != want.tobytes():
+        raise NoKernel("self-check mismatch: the C parser differs from the Python reader")
+    return parse_c
+
+
+@functools.cache
+def _dmat_kernel():
+    """This process's C body walk, or None (after one warning) when unusable."""
+    try:
+        return _load_dmat_kernel()
+    except NoKernel as exc:
+        warn_fallback(f".dmat C parser unavailable ({exc}); parsing at Python speed", __file__)
+        return None
+
+
+def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
+    """The matrix of ``data`` when the C kernel vouches for its body; None
+    leaves the file, whatever is wrong with it, to ``_load_dmat``."""
+    newline = data.find(b"\n")
+    if newline < 0:
+        return None
+    # A '\r' would end the header line of the text the Python reader sees.
+    head = data[:newline]
+    if not head.isascii() or b"\r" in head:
+        return None
+    try:
+        rows, cols = parse_header(head.decode("ascii"), "dmat 1 <rows> <cols>", (1, 1))
+    except ParseError:
+        return None
+    kernel = _dmat_kernel()
+    return None if kernel is None else kernel(data, newline + 1, rows, cols)
+
+
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Load a `.dmat` or headerless CSV matrix; sniffs the format when
     ``fmt`` is None (a first line starting with ``dmat`` wins)."""
     if fmt not in (None, "dmat", "csv"):
         raise InvalidParameter(f"fmt must be None, 'dmat' or 'csv', got {fmt!r}")
-    lines = read_text(path, "utf-8").split("\n")
+    data = read_bytes(path)
     if fmt is None:
-        fmt = "dmat" if lines and lines[0].startswith("dmat") else "csv"
+        fmt = "dmat" if data.startswith(b"dmat") else "csv"
+    if fmt == "dmat" and (m := _parse_dmat_fast(data)) is not None:
+        return m
+    lines = decode_text(data, path, "utf-8").split("\n")
     return _load_dmat(lines) if fmt == "dmat" else _load_csv(lines)
 
 
@@ -258,6 +382,9 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
     if len(set(depths)) != len(depths):
         raise InsufficientRuns(f"run depths must be pairwise distinct, got {depths}")
     reports: list[MetricReport] = []
+    # Each source is resolved on first use, so the first error is the same
+    # as if every run resolved its own.
+    directions: dict[str, np.ndarray] = {}
     for manifest in manifests:
         x = load_matrix(manifest.layer_paths[-1])
         if x.shape[0] != g.n:
@@ -265,7 +392,9 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
                 f"{manifest.layer_paths[-1]}: {x.shape[0]} rows for a graph with {g.n} vertices"
             )
         source = manifest.u_path if manifest.u_source == "file" else manifest.u_source
-        reports.append(metric_suite(x, g, _direction(source, g)))
+        if source not in directions:
+            directions[source] = _direction(source, g)
+        reports.append(metric_suite(x, g, directions[source]))
     accuracies = [m.accuracy for m in manifests]
     correlations: dict = {}
     failures: dict = {}

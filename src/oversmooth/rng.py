@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import platform
-import shutil
-import sys
-import warnings
-import zlib
-from pathlib import Path
 
 import numpy as np
 
+from ._native import NoKernel, load_function, warn_fallback
 from .errors import InvalidParameter
 
 _MASK64 = (1 << 64) - 1
@@ -45,7 +39,6 @@ void xoshiro_fill(uint64_t *s, double *out, int64_t count, double low, double sp
 }
 """
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_COMPILE_TIMEOUT_S = 60.0
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -140,44 +133,11 @@ def _fill_python(s: list[int], out: np.ndarray, low: float, span: float) -> list
     return [s0, s1, s2, s3]
 
 
-class _NoKernel(Exception):
-    """Why this process cannot use the C fill."""
-
-
 def _load_kernel():
-    """The C fill, built and checked; raises _NoKernel naming why it is unusable."""
-    # A CRC-32, not hashlib: hashlib loads OpenSSL, +3.6 MB resident.
-    key = zlib.crc32("\0".join((_C_SOURCE, *_C_FLAGS, platform.machine())).encode())
-    try:
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oversmooth"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        if cache.stat().st_mode & 0o022 or not os.access(cache, os.W_OK):
-            raise PermissionError(f"{cache} is writable by others, or not by this user")
-    except (OSError, RuntimeError) as exc:
-        raise _NoKernel(f"unwritable cache: {exc}") from exc
-    lib = cache / f"xoshiro_fill-{key:08x}.so"
-    if not lib.exists():
-        import subprocess  # only here: loading a cached library needs no compiler
-        if (cc := shutil.which("cc")) is None:
-            raise _NoKernel("no C compiler: cc is not on PATH")
-        # Built under a private name, then renamed: no process loads half a file.
-        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-        try:
-            done = subprocess.run([cc, *_C_FLAGS, "-x", "c", "-", "-o", str(tmp)], input=_C_SOURCE,
-                                  capture_output=True, text=True, timeout=_COMPILE_TIMEOUT_S)
-            if done.returncode:
-                raise _NoKernel(f"compile error: {' '.join(done.stderr.split())[:300]}")
-            os.replace(tmp, lib)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise _NoKernel(f"compile error: {exc}") from exc
-        finally:
-            tmp.unlink(missing_ok=True)
+    """The C fill, built and checked; raises NoKernel naming why it is unusable."""
     proto = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_uint64), ctypes.c_void_p,
                              ctypes.c_int64, ctypes.c_double, ctypes.c_double)
-    try:
-        fn = proto(("xoshiro_fill", ctypes.CDLL(str(lib))))
-    except (OSError, AttributeError) as exc:
-        raise _NoKernel(f"load error: {exc}") from exc
+    fn = load_function("xoshiro_fill", _C_SOURCE, _C_FLAGS, proto)
 
     def fill_c(s: list[int], out: np.ndarray, low: float, span: float) -> list[int]:
         state = (ctypes.c_uint64 * 4)(*s)
@@ -188,7 +148,7 @@ def _load_kernel():
     want, got = np.empty(257), np.empty(257)
     if (fill_c(probe, got, -2.5, 6.5) != _fill_python(probe, want, -2.5, 6.5)
             or got.tobytes() != want.tobytes()):
-        raise _NoKernel(f"self-check mismatch: {lib} differs from the Python loop")
+        raise NoKernel("self-check mismatch: the C fill differs from the Python loop")
     return fill_c
 
 
@@ -197,12 +157,6 @@ def _fill_loop():
     """This process's fill loop: the C kernel, else ``_fill_python`` with a warning."""
     try:
         return _load_kernel()
-    except _NoKernel as exc:
-        # Attribute the warning to the first frame outside this file, however
-        # many of its methods (fill, matrix) the first draw came through.
-        frame, level = sys._getframe(), 1
-        while frame.f_back is not None and frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"xoshiro256++ C fill unavailable ({exc}); filling at Python speed",
-                      RuntimeWarning, stacklevel=level)
+    except NoKernel as exc:
+        warn_fallback(f"xoshiro256++ C fill unavailable ({exc}); filling at Python speed", __file__)
         return _fill_python

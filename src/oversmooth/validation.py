@@ -5,11 +5,14 @@ float64 ndarrays; every entry must be finite. These helpers raise from the
 shared taxonomy in :mod:`oversmooth.errors` so the CLI can map failures to
 exit codes without caring where they originated.
 
-The text codec every file format shares lives here too: whole-file read,
-line writer, ``<tag> 1 <a> <b>`` header parser and body-line walker.
+The text codec every file format shares lives here too: whole-file read
+(as bytes, as text, or bytes decoded as text), line writer,
+``<tag> 1 <a> <b>`` header parser and body-line walker.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -60,13 +63,27 @@ def require_positive_int(value, name: str) -> int:
     return int(value)
 
 
+def read_bytes(path) -> bytes:
+    """The whole content of ``path``; IoError when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def decode_text(data: bytes, path, encoding: str) -> str:
+    """``data``, read from ``path``, decoded as ``open(path, encoding=encoding)``
+    reads it (line ends translated to ``\\n``); IoError when it cannot be decoded."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding=encoding).read()
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
 def read_text(path, encoding: str) -> str:
     """The whole text of ``path``; IoError when it cannot be read or decoded."""
-    try:
-        with open(path, "r", encoding=encoding) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return decode_text(read_bytes(path), path, encoding)
 
 
 def write_lines(path, lines) -> None:

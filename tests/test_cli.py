@@ -228,6 +228,15 @@ def test_rate_reports_both_rates(capsys):
     assert 0.0 < float(match.group(2)) < 1.0
 
 
+def test_rate_disconnected_graph_is_a_parse_failure(tmp_path, capsys):
+    gpath = tmp_path / "two_paths.grf"
+    gpath.write_text("grf 1 6 4\n0 1\n1 2\n3 4\n4 5\n")
+    assert main(["rate", "--graph", str(gpath), "--depth", "30", "--width", "4"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "connected" in captured.err
+
+
 def test_contraction_strict_on_pinned_matrix(tmp_path, capsys):
     mpath = tmp_path / "a.dmat"
     upath = tmp_path / "u.dmat"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oversmooth.errors import InvalidParameter, SeriesTooShort
+from oversmooth.errors import DisconnectedGraph, InvalidParameter, SeriesTooShort
 from oversmooth.experiments import (
     DECAY_WINDOW,
     ENERGY_FLOOR,
@@ -25,7 +25,7 @@ from oversmooth.experiments import (
     synth_table,
     toy_scenarios,
 )
-from oversmooth.graph import barabasi_albert
+from oversmooth.graph import Graph, barabasi_albert
 from oversmooth.metrics import CANONICAL_METRICS, metric_suite
 from oversmooth.propagate import identity_weights, uniform_nonneg, uniform_signed
 
@@ -242,3 +242,10 @@ def test_rate_check_on_graph_matches_gap():
     assert_allclose(clean.measured_rate, clean.predicted_rate, rtol=1e-3)
     noisy = rate_check(g, width=16, depth=30, seed=4)
     assert_allclose(noisy.measured_rate, noisy.predicted_rate, rtol=0.1)
+
+
+def test_rate_check_refuses_a_disconnected_graph():
+    # Eigenvalue 1 is repeated, so no dominant direction or gap is defined.
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    with pytest.raises(DisconnectedGraph):
+        rate_check(g, width=4, depth=30)

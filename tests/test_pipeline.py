@@ -1,23 +1,33 @@
 """File-format and correlation-pipeline tests."""
 
+import decimal
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import pipeline
 from oversmooth.errors import (
     DegenerateInput,
     InsufficientRuns,
     InvalidParameter,
     IoError,
     LengthMismatch,
+    OversmoothError,
     ParseError,
     ShapeMismatch,
 )
 from oversmooth.experiments import SynthConfig, synth_table
-from oversmooth.graph import Graph, barabasi_albert, constant_unit_vector, write_grf
+from oversmooth.graph import (
+    Graph,
+    barabasi_albert,
+    constant_unit_vector,
+    gcn_dominant_eigenvector,
+    write_grf,
+)
 from oversmooth.metrics import CANONICAL_METRICS, MetricReport
 from oversmooth.pipeline import (
     TRACE_COLUMNS,
@@ -31,6 +41,9 @@ from oversmooth.pipeline import (
     write_matrix,
     write_report,
 )
+from oversmooth.rng import Xoshiro256pp
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def test_format_float_round_trips():
@@ -136,6 +149,165 @@ def test_format_sniffing_and_forcing(tmp_path):
         load_matrix(path, fmt="tsv")
     with pytest.raises(IoError):
         load_matrix(tmp_path / "missing.dmat")
+
+
+# The C body walk of `.dmat` files must give `_load_dmat`'s bits for every
+# file it vouches for, and leave every other file to it.
+
+def dmat_bytes(rows) -> bytes:
+    """A `.dmat` file whose rows are lists of token strings."""
+    lines = [f"dmat 1 {len(rows)} {len(rows[0])}"] + [" ".join(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def random_doubles(seed: int, count: int) -> list[float]:
+    """Finite doubles of uniformly random bits, drawn from the package RNG."""
+    gen = Xoshiro256pp(seed)
+    values = np.array([gen.next_u64() for _ in range(count)], dtype=np.uint64).view(np.float64)
+    return [float(v) for v in values if math.isfinite(v)]
+
+
+def every_exponent(seed: int) -> list[float]:
+    """One normal double of random sign and mantissa for each binary exponent."""
+    gen = Xoshiro256pp(seed)
+    words = [(gen.next_u64() & ~(0x7FF << 52)) | (e << 52) for e in range(1, 2047)]
+    return [float(v) for v in np.array(words, dtype=np.uint64).view(np.float64)]
+
+
+def near_halfway(v: float) -> list[str]:
+    """The exact decimal midpoint between ``v`` and the next double up, and
+    two numbers a relative 1e-60 below and above it."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        mid = (decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, math.inf)))) / 2
+        return [f"{mid * (1 + k * decimal.Decimal('1e-60')):e}" for k in (0, -1, 1)]
+
+
+def equivalence_cases() -> dict:
+    big = [s * m * 1e300 for s in (1.0, -1.0) for m in (1.0, 3.7, 179.76931348623157)]
+    tokens = {
+        "repr of random bits": [repr(v) for v in random_doubles(11, 4096) if abs(v) >= 2.0**-1022],
+        "every exponent": [repr(v) for v in every_exponent(5)],
+        "signed zeros": ["0.0", "-0.0", "0", "-0", "+0", "0e5", "-0.000e-99", ".0", "0."],
+        "above 1e300": [repr(v) for v in big] + ["1.7976931348623157e308", "1.7976931348623158e308"],
+        "17-digit mantissas": [f"{v:.16e}" for v in random_doubles(13, 512) if abs(v) >= 1e-300],
+        "30-digit mantissas": [f"{v:.29e}" for v in random_doubles(17, 512) if abs(v) >= 1e-300],
+        "near halfway": ["9007199254740993", "9007199254740995", "2.2250738585072014e-308",
+                         "0.1000000000000000055511151231257827", "1e23", "8.988465674311579e307",
+                         "+.5E+0", "5."]
+        + [tok for v in every_exponent(7)[1:-1:97] for tok in near_halfway(v)],
+    }
+    cases = {}
+    for name, toks in tokens.items():
+        cols = 8
+        toks += toks[: -len(toks) % cols]
+        cases[name] = dmat_bytes([toks[i:i + cols] for i in range(0, len(toks), cols)])
+    return cases
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(equivalence_cases()))
+def test_dmat_kernel_matches_python_reader(name, tmp_path):
+    data = equivalence_cases()[name]
+    want = pipeline._load_dmat(data.decode("ascii").split("\n"))
+    kernel = pipeline._dmat_kernel()
+    assert kernel is not None
+    got = kernel(data, data.index(b"\n") + 1, *want.shape)
+    assert got is not None, "the kernel did not vouch for a file of float() literals"
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    path = tmp_path / "m.dmat"
+    path.write_bytes(data)
+    assert load_matrix(path).tobytes() == want.tobytes()
+
+
+def load_outcome(path, fmt=None):
+    """What ``load_matrix`` gives: the shape and bytes, or the error and its line."""
+    try:
+        m = load_matrix(path, fmt)
+    except (OversmoothError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return m.shape, m.tobytes()
+
+
+# 35 odd token spellings: each one either parses as float() does or is refused.
+ODD_SPELLINGS = (
+    "1_0", "\t2 ", "4\r", "-Infinity", "1E-320", "\u0661\u0662", "\uff11\uff12", "0x1p3",
+    "1d5", "", "inf", "nan", "-nan", "NaN", "+Infinity", "1e400", "-1e400", "1e-400",
+    "5e-324", "2.2250738585072011e-308", "0x10", "1e", "1e+", ".", "+.", "-", "e5",
+    ".e5", "1.2.3", "++1", "1,5", "1\xa0", "\x0b3", "1f", "0b1",
+)
+
+MALFORMED = {
+    "crlf": b"dmat 1 2 2\r\n1 2\r\n3 4\r\n",
+    "cr only": b"dmat 1 2 2\r1 2\r3 4\r",
+    "cr in header": b"dmat 1 1 2\r1 2\n",
+    "cr splits header": b"dmat 1 1\r2\n3 4\n",
+    "bom": b"\xef\xbb\xbfdmat 1 1 2\n1 2\n",
+    "trailing spaces": b"dmat 1 2 2 \n1 2  \n  3 4 \n \n",
+    "tab separated": b"dmat 1 1 2\n1\t2\n",
+    "too few rows": b"dmat 1 3 2\n1 2\n3 4\n",
+    "too many rows": b"dmat 1 1 2\n1 2\n3 4\n",
+    "ragged rows": b"dmat 1 2 2\n1 2 3\n4\n",
+    "short row": b"dmat 1 2 2\n1 2\n3\n",
+    "no final newline": b"dmat 1 1 2\n1 2",
+    "header only": b"dmat 1 1 1",
+    "invalid utf-8": b"dmat 1 1 2\n1 \xff\n",
+    "non-ascii space": "dmat 1 1 2\n1\u20032\n".encode(),
+    "huge header": b"dmat 1 3000000000 3000000000\n1\n",
+    "header counts below 1": b"dmat 1 1 0\n\n",
+}
+LINE_NUMBER_CASES = (
+    "xmat 1 1 1\n1.0\n", "dmat 2 1 1\n1.0\n", "dmat 1 x 1\n1.0\n", "dmat 1 0 1\n",
+    "dmat 1 1 2\n1.0\n", "dmat 1 1 1\nfoo\n", "dmat 1 1 1\ninf\n", "dmat 1 1 1\n1.0\n2.0\n",
+    "dmat 1 2 1\n1.0\n",
+)
+DEFERRAL_CASES = {
+    **{f"odd {tok!r}": f"dmat 1 2 2\n1.5 {tok}\n-2 3\n".encode() for tok in ODD_SPELLINGS},
+    **MALFORMED,
+    **{f"line number {text!r}": text.encode() for text in LINE_NUMBER_CASES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRAL_CASES))
+def test_dmat_outcome_is_the_same_with_the_kernel_off(name, tmp_path, monkeypatch):
+    path = tmp_path / "m.dmat"
+    path.write_bytes(DEFERRAL_CASES[name])
+    on = [load_outcome(path, fmt) for fmt in (None, "dmat")]
+    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: None)
+    assert [load_outcome(path, fmt) for fmt in (None, "dmat")] == on
+
+
+@pytest.fixture
+def fresh_dmat_kernel(tmp_path, monkeypatch):
+    """An empty per-user cache, and a `.dmat` kernel chosen afresh on first use."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    pipeline._dmat_kernel.cache_clear()
+    yield
+    pipeline._dmat_kernel.cache_clear()
+
+
+DMAT_FALLBACKS = {
+    "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
+    "self-check mismatch": lambda mp, tmp: mp.setattr(
+        pipeline, "_DMAT_SOURCE", pipeline._DMAT_SOURCE.replace("= value;", "= -value;")),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("cause", sorted(DMAT_FALLBACKS))
+def test_unusable_dmat_kernel_falls_back_with_one_warning(cause, fresh_dmat_kernel, tmp_path,
+                                                          monkeypatch):
+    files = [tmp_path / "a.dmat", tmp_path / "b.dmat"]
+    mats = [np.array([[0.1, -2.5], [1e300, 7.0]]), np.arange(12.0).reshape(4, 3) / 3.0]
+    for path, m in zip(files, mats):
+        write_matrix(m, path)
+    DMAT_FALLBACKS[cause](monkeypatch, tmp_path)
+    with pytest.warns(RuntimeWarning) as record:
+        loaded = [load_matrix(path) for path in files]
+    assert len(record) == 1
+    assert cause in str(record[0].message)
+    assert record[0].filename == __file__
+    for got, m in zip(loaded, mats):
+        assert got.tobytes() == m.tobytes()
 
 
 def test_load_vector_accepts_row_or_column(tmp_path):
@@ -323,6 +495,49 @@ def test_correlate_reports_undefined_metrics(tmp_path):
     assert report.correlations["e_dir_norm"] is None
     assert report.failures["e_dir_norm"] == "undefined at depth 4"
     assert report.correlations["mad"] is None
+
+
+def test_correlate_resolves_each_direction_source_once(tmp_path, monkeypatch):
+    g = barabasi_albert(40, 2, seed=3)
+    u = gcn_dominant_eigenvector(g)
+    w = np.arange(40.0) - 20.0
+    w -= u * (u @ w)
+    write_matrix(u[:, None], tmp_path / "u.dmat")
+    runs = []
+    for k in range(8):
+        x = np.outer(u, [1.0, 0.5]) + 0.5**k * np.outer(w, [0.25, -1.0])
+        write_matrix(x, tmp_path / f"x{k}.dmat")
+        runs.append({"depth": k + 1, "accuracy": 0.9 - 0.1 * k, "layer_paths": [f"x{k}.dmat"],
+                     "arch_label": "gcn"})
+
+    def manifests(source):
+        return [read_manifest(write_manifest(tmp_path / f"run{k}.json",
+                                             {**run, "u_source": source(k)}))
+                for k, run in enumerate(runs)]
+
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def correlations_csv(out, ms):
+        (path,) = write_report(tmp_path / out, correlation=correlate(ms, g))
+        return open(path, "rb").read()
+
+    # Every run is handed the vector each used to resolve for itself.
+    gcn_calls = counted(monkeypatch, "gcn_dominant_eigenvector")
+    suite_calls = counted(monkeypatch, "metric_suite")
+    correlations_csv("gcn", manifests(lambda k: "gcn"))
+    assert len(gcn_calls) == 1
+    assert [args[2].tobytes() for args in suite_calls] == [u.tobytes()] * 8
+    # Eight spellings of one file are eight sources: the same file bytes out.
+    loads = counted(monkeypatch, "load_vector")
+    shared = correlations_csv("shared", manifests(lambda k: {"file": "u.dmat"}))
+    assert len(loads) == 1
+    distinct = correlations_csv("distinct", manifests(lambda k: {"file": "./" * k + "u.dmat"}))
+    assert len(loads) == 1 + 8
+    assert shared == distinct
 
 
 def test_write_report_trace_columns(tmp_path):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import _native
 from oversmooth import rng as rng_module
 from oversmooth.errors import InvalidParameter
 from oversmooth.rng import Xoshiro256pp, splitmix64_stream, subseed
@@ -256,7 +257,7 @@ FALLBACKS = {
     "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
     "unwritable cache": lambda mp, tmp: (tmp / "cache").write_text("a file, not a directory"),
     "compile error": lambda mp, tmp: break_source(mp, "#include <stdint.h>", "no C here"),
-    "timed out": lambda mp, tmp: mp.setattr(rng_module, "_COMPILE_TIMEOUT_S", 1e-6),
+    "timed out": lambda mp, tmp: mp.setattr(_native, "_COMPILE_TIMEOUT_S", 1e-6),
     "load error": garbage_library,
     "self-check mismatch": lambda mp, tmp: break_source(mp, "ROTL(s3, 45)", "ROTL(s3, 44)"),
 }
