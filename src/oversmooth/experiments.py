@@ -31,8 +31,8 @@ from .graph import (
     is_connected,
     sym_norm_adjacency,
 )
-from .linalg import dominant_eigenpair, spectral_gap
-from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
+from .linalg import _dominant_eigenpair, _spectral_gap, _spectrum
+from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, _e_proj, metric_suite
 from .propagate import (
     Activation,
     PropagationConfig,
@@ -340,16 +340,16 @@ def rate_check_matrix(
     """
     a = as_square_matrix(a, "propagation matrix")
     require_positive_int(width, "width")
-    if not isinstance(depth, (int, np.integer)) or depth < 4:
-        raise InvalidParameter(f"depth must be an integer >= 4, got {depth!r}")
+    require_positive_int(depth, "depth", 4)
     scheme = weight_scheme or uniform_signed(1.0)
     if scheme.kind not in ("identity", "uniform_signed"):
         raise InvalidParameter(
             "rate check needs sign-symmetric or identity weights; "
             f"got {scheme.kind!r}"
         )
-    _, u = dominant_eigenpair(a)
-    predicted = spectral_gap(a)
+    vals, vecs = _spectrum(a)
+    _, u = _dominant_eigenpair(vals, vecs)
+    predicted = _spectral_gap(vals)
     rng = Xoshiro256pp(seed)
     n = a.shape[0]
     x = rng.matrix(n, width, 0.0, 1.0)
@@ -359,8 +359,7 @@ def rate_check_matrix(
         denom = math.sqrt(float(coef @ coef))
         if denom == 0.0:
             raise DegenerateSpectrum("features are orthogonal to the dominant direction")
-        resid = mat - np.outer(u, coef)
-        return math.sqrt(float(np.sum(resid * resid))) / denom
+        return math.sqrt(_e_proj(mat, u)) / denom
 
     def draw_weights() -> np.ndarray:
         for _ in range(100):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DisconnectedGraph, InvalidParameter, ParseError, ShapeMismatch
 from .rng import Xoshiro256pp
-from .validation import body_tokens, parse_header, read_text, write_lines
+from .validation import body_tokens, parse_header, read_text, require_positive_int, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +37,7 @@ class Graph:
 
         Edge pairs are canonicalized to ``i < j`` and sorted.
         """
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise InvalidParameter(f"vertex count must be an integer >= 1, got {n!r}")
+        require_positive_int(n, "vertex count")
         try:
             pairs = np.array(list(edges) or np.empty((0, 2), dtype=np.intp))
         except ValueError:  # pairs of unequal length
@@ -134,13 +133,9 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
     (duplicate targets are redrawn). The graph is connected by construction:
     the seed is, and every arriving vertex links to ``m >= 1`` earlier ones.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidParameter(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise InvalidParameter(f"m must be an integer, got {m!r}")
-    if not 1 <= m < n:
+    n, m = require_positive_int(n, "n", 2), require_positive_int(m, "m")
+    if m >= n:
         raise InvalidParameter(f"m must satisfy 1 <= m < n, got m={m}, n={n}")
-    n, m = int(n), int(m)
     rng = Xoshiro256pp(seed)
     heads = [i for i in range(m + 1) for _ in range(i + 1, m + 1)]
     tails = [j for i in range(m + 1) for j in range(i + 1, m + 1)]
@@ -249,8 +244,7 @@ def gcn_dominant_eigenvector(g: Graph) -> np.ndarray:
 def constant_unit_vector(n: int) -> np.ndarray:
     """Unit vector with equal entries: the dominant direction of any
     row-stochastic propagation operator."""
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    n = require_positive_int(n, "n")
     return np.full(n, 1.0 / math.sqrt(n))
 
 

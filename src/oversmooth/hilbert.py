@@ -20,7 +20,7 @@ from .errors import (
     NonpositiveColumn,
 )
 from .rng import Xoshiro256pp
-from .validation import as_matrix, as_square_matrix, as_vector, require_length, require_positive_int
+from .validation import as_matrix, as_square_matrix, as_vector, require_positive_int
 
 # Perturbations closer to the center than this are skipped as degenerate.
 DEGENERATE_RADIUS = 1e-12
@@ -35,9 +35,7 @@ def _check_cone(v: np.ndarray, name: str) -> np.ndarray:
 def hilbert_distance(x, y) -> float:
     """Projective distance between strictly positive vectors of equal length."""
     x = _check_cone(as_vector(x, "x"), "x")
-    y = as_vector(y, "y")
-    require_length(y, x.shape[0], "y")
-    _check_cone(y, "y")
+    y = _check_cone(as_vector(y, "y", x.shape[0]), "y")
     r = x / y
     return math.log(float(np.max(r))) - math.log(float(np.min(r)))
 
@@ -49,8 +47,7 @@ def column_hilbert_radius(x, u) -> float:
     otherwise); ``u`` must be strictly positive.
     """
     x = as_matrix(x, "features")
-    u = _check_cone(as_vector(u, "u"), "u")
-    require_length(u, x.shape[0], "u")
+    u = _check_cone(as_vector(u, "u", x.shape[0]), "u")
     if np.any(x.min(axis=0) <= 0.0):
         bad = int(np.argmin(x.min(axis=0)))
         raise NonpositiveColumn(f"column {bad} leaves the positive cone")
@@ -82,8 +79,7 @@ def contraction_ratio(
     a = as_square_matrix(a, "matrix")
     if np.any(a < 0.0):
         raise InvalidParameter("matrix must be entrywise nonnegative")
-    u = _check_cone(as_vector(u, "u"), "u")
-    require_length(u, a.shape[0], "u")
+    u = _check_cone(as_vector(u, "u", a.shape[0]), "u")
     if not radius_cap > 0.0:
         raise InvalidParameter(f"radius_cap must be > 0, got {radius_cap}")
     require_positive_int(samples, "samples")

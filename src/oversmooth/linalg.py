@@ -61,7 +61,8 @@ def _spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a square matrix in descending magnitude (ties keep
     LAPACK's order) and the matching unit eigenvector columns, from LAPACK's
     general eigensolver. Raises ConvergenceFailure if LAPACK does not
-    converge.
+    converge. ``_dominant_eigenpair`` and ``_spectral_gap`` read one result,
+    so a caller that needs both solves once.
     """
     a = as_square_matrix(a)
     try:
@@ -78,7 +79,10 @@ def dominant_eigenpair(a) -> tuple[float, np.ndarray]:
 
     Raises DegenerateSpectrum when that eigenvalue is zero or not real.
     """
-    vals, vecs = _spectrum(a)
+    return _dominant_eigenpair(*_spectrum(a))
+
+
+def _dominant_eigenpair(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray]:
     lam = vals[0]
     if lam == 0.0 or lam.imag != 0.0:
         raise DegenerateSpectrum(f"dominant eigenvalue {lam} is zero or not real")
@@ -93,7 +97,11 @@ def spectral_gap(a) -> float:
     by magnitude; 0.0 for a 1x1 matrix. Raises DegenerateSpectrum when the
     dominant eigenvalue is zero.
     """
-    mags = np.abs(_spectrum(a)[0])
+    return _spectral_gap(_spectrum(a)[0])
+
+
+def _spectral_gap(vals: np.ndarray) -> float:
+    mags = np.abs(vals)
     if mags[0] == 0.0:
         raise DegenerateSpectrum("dominant eigenvalue is zero; gap undefined")
     return float(mags[1] / mags[0]) if mags.shape[0] > 1 else 0.0

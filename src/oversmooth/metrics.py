@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graph import Graph
 from .linalg import pow2_scale, singular_values
-from .validation import as_matrix, as_vector, require_length
+from .validation import as_matrix, as_vector
 
 # Columns reported by layer traces and cross-run correlation, in order.
 CANONICAL_METRICS = (
@@ -92,8 +92,7 @@ def _features_for_graph(x, g: Graph) -> np.ndarray:
 
 
 def _check_direction(u, n: int, unit: bool = False, nonzero: bool = False) -> np.ndarray:
-    u = as_vector(u, "direction vector")
-    require_length(u, n, "direction vector")
+    u = as_vector(u, "direction vector", n)
     if unit:
         norm = math.sqrt(float(u @ u))
         if abs(norm - 1.0) > UNIT_TOL:

@@ -86,19 +86,19 @@ def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
 
 
 def _load_dmat(lines: list[str]) -> np.ndarray:
+    # Rows are kept as they are read, so no header count reserves memory
+    # before the body has shown that many values.
     rows, cols = parse_header(lines[0], "dmat 1 <rows> <cols>", (1, 1))
-    out = np.empty((rows, cols))
-    filled = 0
+    out = []
     for lineno, tokens in body_tokens(lines, 1):
-        if filled == rows:
+        if len(out) == rows:
             raise ParseError("more data rows than the header promised", line=lineno)
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} values, got {len(tokens)}", line=lineno)
-        out[filled] = _parse_row(tokens, lineno)
-        filled += 1
-    if filled != rows:
-        raise ParseError(f"header promised {rows} rows, file has {filled}", line=len(lines))
-    return out
+        out.append(_parse_row(tokens, lineno))
+    if len(out) != rows:
+        raise ParseError(f"header promised {rows} rows, file has {len(out)}", line=len(lines))
+    return np.array(out)
 
 
 def _load_csv(lines: list[str]) -> np.ndarray:
@@ -184,6 +184,11 @@ def _load_dmat_kernel():
     fn = load_function("dmat_parse", _DMAT_SOURCE, _DMAT_FLAGS, proto)
 
     def parse_c(data: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
+        # Tokens are one byte or more, each after the first behind a
+        # separator, so a body too short for rows * cols of them is refused
+        # before the header's counts reserve any memory.
+        if rows * cols > (len(data) - start + 1) // 2:
+            return None
         out = np.empty((rows, cols))
         return out if fn(data, start, len(data), rows, cols, out.ctypes.data) else None
 

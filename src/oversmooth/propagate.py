@@ -12,6 +12,7 @@ residual matrix, in that order, each only when its feature is enabled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InvalidParameter, ShapeMismatch
 from .graph import CsrOperator, Graph, sym_norm_adjacency
 from .rng import Xoshiro256pp
-from .validation import as_matrix, as_square_matrix, as_vector, require_length, require_positive_int
+from .validation import as_matrix, as_square_matrix, as_vector, require_positive_int
 
 # Feature magnitudes above this truncate a rollout.
 OVERFLOW_LIMIT = 1e300
@@ -27,10 +28,19 @@ OVERFLOW_LIMIT = 1e300
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise nonlinearity: 'leaky_relu', 'tanh', or 'identity'."""
+    """Elementwise nonlinearity: 'leaky_relu' (slope ``alpha`` in (0, 1) on
+    the negative axis), 'tanh', or 'identity'."""
 
     kind: str
     alpha: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("leaky_relu", "tanh", "identity"):
+            raise InvalidParameter(
+                f"activation must be 'leaky_relu', 'tanh' or 'identity', got {self.kind!r}"
+            )
+        if self.kind == "leaky_relu" and not 0.0 < self.alpha < 1.0:
+            raise InvalidParameter(f"leaky slope must lie in (0, 1), got {self.alpha}")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "leaky_relu":
@@ -42,8 +52,6 @@ class Activation:
 
 def leaky_relu(alpha: float = 0.01) -> Activation:
     """Slope 1 on the nonnegative axis, ``alpha`` on the negative one."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter(f"leaky slope must lie in (0, 1), got {alpha}")
     return Activation("leaky_relu", alpha)
 
 
@@ -61,12 +69,22 @@ class WeightScheme:
     ``[0, scale)``, or 'uniform_signed' over ``[-scale, scale)``.
 
     ``fresh_per_layer=False`` samples every parameter once at the first
-    layer and reuses it afterwards.
+    layer and reuses it afterwards. The uniform kinds need a finite
+    ``scale > 0``.
     """
 
     kind: str
     scale: float = 1.0
     fresh_per_layer: bool = True
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "uniform_nonneg", "uniform_signed"):
+            raise InvalidParameter(
+                "weight scheme must be 'identity', 'uniform_nonneg' or 'uniform_signed', "
+                f"got {self.kind!r}"
+            )
+        if self.kind != "identity" and not 0.0 < self.scale < math.inf:
+            raise InvalidParameter(f"scale must be finite and > 0, got {self.scale}")
 
     def sample(self, rng: Xoshiro256pp, rows: int, cols: int) -> np.ndarray:
         if self.kind == "identity":
@@ -75,18 +93,15 @@ class WeightScheme:
                     f"identity weights need square shape, got {rows}x{cols}"
                 )
             return np.eye(rows)
-        if self.kind == "uniform_nonneg":
-            return rng.matrix(rows, cols, 0.0, self.scale)
-        return rng.matrix(rows, cols, -self.scale, self.scale)
+        return self.sample_vector(rng, rows * cols).reshape(rows, cols)
 
     def sample_vector(self, rng: Xoshiro256pp, length: int) -> np.ndarray:
         # The identity scheme has no distribution to draw from; vector
         # parameters (bias, attention) degrade to zero.
         if self.kind == "identity":
             return np.zeros(length)
-        if self.kind == "uniform_nonneg":
-            return rng.fill(length, 0.0, self.scale)
-        return rng.fill(length, -self.scale, self.scale)
+        low = 0.0 if self.kind == "uniform_nonneg" else -self.scale
+        return rng.fill(length, low, self.scale)
 
 
 def identity_weights() -> WeightScheme:
@@ -94,14 +109,10 @@ def identity_weights() -> WeightScheme:
 
 
 def uniform_nonneg(scale: float = 1.0, fresh_per_layer: bool = True) -> WeightScheme:
-    if not scale > 0.0:
-        raise InvalidParameter(f"scale must be > 0, got {scale}")
     return WeightScheme("uniform_nonneg", scale, fresh_per_layer)
 
 
 def uniform_signed(scale: float = 1.0, fresh_per_layer: bool = True) -> WeightScheme:
-    if not scale > 0.0:
-        raise InvalidParameter(f"scale must be > 0, got {scale}")
     return WeightScheme("uniform_signed", scale, fresh_per_layer)
 
 
@@ -126,10 +137,7 @@ class PropagationConfig:
             raise InvalidParameter(f"arch must be 'gcn' or 'gat', got {self.arch!r}")
         require_positive_int(self.depth, "depth")
         require_positive_int(self.width, "width")
-        if not 0.0 < self.gat_leaky_alpha < 1.0:
-            raise InvalidParameter(
-                f"gat_leaky_alpha must lie in (0, 1), got {self.gat_leaky_alpha}"
-            )
+        Activation("leaky_relu", self.gat_leaky_alpha)  # checks the attention slope
         if self.init is not None:
             x0 = as_matrix(self.init, "init features")
             if x0.shape != (self.graph.n, self.width):
@@ -177,9 +185,7 @@ def gcn_layer(a, x, w, activation: Activation, bias=None, residual=None) -> np.n
         )
     z = a @ x @ w
     if bias is not None:
-        bias = as_vector(bias, "bias")
-        require_length(bias, w.shape[1], "bias")
-        z = z + bias[None, :]
+        z = z + as_vector(bias, "bias", w.shape[1])[None, :]
     h = activation.apply(z)
     if residual is not None:
         x0, w2 = residual
@@ -208,16 +214,12 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
         raise ShapeMismatch(
             f"features have {x.shape[1]} columns but weights have {w.shape[0]} rows"
         )
-    p1 = as_vector(p1, "attention vector p1")
-    p2 = as_vector(p2, "attention vector p2")
-    require_length(p1, w.shape[1], "attention vector p1")
-    require_length(p2, w.shape[1], "attention vector p2")
-    if not 0.0 < leaky_alpha < 1.0:
-        raise InvalidParameter(f"leaky_alpha must lie in (0, 1), got {leaky_alpha}")
+    p1 = as_vector(p1, "attention vector p1", w.shape[1])
+    p2 = as_vector(p2, "attention vector p2", w.shape[1])
+    score_activation = Activation("leaky_relu", leaky_alpha)
     rows, indptr, cols = g.closed_csr
     z = x @ w
-    scores = (z @ p1)[rows] + (z @ p2)[cols]
-    scores = np.where(scores >= 0.0, scores, leaky_alpha * scores)
+    scores = score_activation.apply((z @ p1)[rows] + (z @ p2)[cols])
     starts = indptr[:-1]
     shifted = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
     att = np.zeros((g.n, g.n))

@@ -117,20 +117,11 @@ class Xoshiro256pp:
 
 def _fill_python(s: list[int], out: np.ndarray, low: float, span: float) -> list[int]:
     """Fill ``out`` from state ``s``, return the state after: ``fill``'s specification."""
-    mask = _MASK64
-    s0, s1, s2, s3 = s
+    gen = Xoshiro256pp.__new__(Xoshiro256pp)
+    gen._s = list(s)
     for i in range(out.size):
-        x = (s0 + s3) & mask
-        word = ((((x << 23) | (x >> 41)) & mask) + s0) & mask
-        t = (s1 << 17) & mask
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & mask
-        out[i] = low + span * ((word >> 11) * _INV53)
-    return [s0, s1, s2, s3]
+        out[i] = low + span * gen.random()
+    return gen._s
 
 
 def _load_kernel():

@@ -31,13 +31,16 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_vector(obj, name: str = "vector") -> np.ndarray:
-    """Return ``obj`` as a 1-D float64 array with finite entries."""
+def as_vector(obj, name: str = "vector", length: int | None = None) -> np.ndarray:
+    """Return ``obj`` as a 1-D float64 array with finite entries, of
+    ``length`` entries when it is given."""
     arr = np.asarray(obj, dtype=np.float64)
     if arr.ndim != 1:
         raise ShapeMismatch(f"{name} must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1:
         raise ShapeMismatch(f"{name} must be nonempty")
+    if length is not None and arr.shape[0] != length:
+        raise ShapeMismatch(f"{name} has length {arr.shape[0]}, expected {length}")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameter(f"{name} contains non-finite entries")
     return arr
@@ -50,16 +53,12 @@ def as_square_matrix(obj, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_length(vec: np.ndarray, n: int, name: str = "vector") -> None:
-    if vec.shape[0] != n:
-        raise ShapeMismatch(f"{name} has length {vec.shape[0]}, expected {n}")
-
-
-def require_positive_int(value, name: str) -> int:
+def require_positive_int(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int when it is an integer (not a bool) >= ``minimum``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidParameter(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ TOY_HEADER = (
 
 
 def test_module_entry_point_prints_usage():
+    # The child imports the package this process imported, installed or not.
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "oversmooth.cli", "--help"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: oversmooth")
@@ -133,6 +138,15 @@ def test_metrics_bad_graph_file(tmp_path, capsys):
     code = main(["metrics", "--features", str(xpath), "--graph", str(bad)])
     assert code == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+def test_metrics_absurd_dmat_header_is_a_parse_failure(tmp_path, capsys):
+    _, gpath = graph_file(tmp_path)
+    xpath = tmp_path / "x.dmat"
+    xpath.write_text("dmat 1 3000000000 3000000000\n1 2 3\n")
+    code = main(["metrics", "--features", str(xpath), "--graph", str(gpath)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == "error: line 2: expected 3000000000 values, got 3\n"
 
 
 # Exit code of every concrete error, as the CLI has mapped them since the

@@ -230,7 +230,24 @@ def test_rate_check_matrix_validation():
     with pytest.raises(InvalidParameter):
         rate_check_matrix(a, depth=3)
     with pytest.raises(InvalidParameter):
+        rate_check_matrix(a, depth=40.0)
+    with pytest.raises(InvalidParameter):
         rate_check_matrix(a, weight_scheme=uniform_nonneg(0.1))
+
+
+def test_rate_check_solves_one_eigenproblem(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    g = barabasi_albert(12, 2, seed=3)
+    for seed in (0, 1):
+        rate_check(g, width=8, depth=30, seed=seed)
+    assert calls == [(12, 12)] * 2
 
 
 def test_rate_check_on_graph_matches_gap():

@@ -276,6 +276,25 @@ def test_dmat_outcome_is_the_same_with_the_kernel_off(name, tmp_path, monkeypatc
     assert [load_outcome(path, fmt) for fmt in (None, "dmat")] == on
 
 
+def test_dmat_header_counts_reserve_nothing_before_the_body(tmp_path, monkeypatch):
+    # Neither reader may size an array from a header the body cannot fill.
+    path = tmp_path / "m.dmat"
+    path.write_bytes(b"dmat 1 3000000000 3000000000\n1 2 3\n")
+    requested = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        requested.append(int(np.prod(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    outcomes = [load_outcome(path)]
+    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: None)
+    outcomes.append(load_outcome(path))
+    assert outcomes == [("ParseError", "line 2: expected 3000000000 values, got 3", 2)] * 2
+    assert max(requested, default=0) < 1000
+
+
 @pytest.fixture
 def fresh_dmat_kernel(tmp_path, monkeypatch):
     """An empty per-user cache, and a `.dmat` kernel chosen afresh on first use."""

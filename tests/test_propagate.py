@@ -10,7 +10,9 @@ from oversmooth.errors import InvalidParameter, ShapeMismatch
 from oversmooth.graph import Graph, barabasi_albert, sym_norm_adjacency
 from oversmooth.propagate import (
     OVERFLOW_LIMIT,
+    Activation,
     PropagationConfig,
+    WeightScheme,
     gat_attention,
     gcn_layer,
     identity,
@@ -56,6 +58,21 @@ def test_activation_validation():
         leaky_relu(0.0)
     with pytest.raises(InvalidParameter):
         leaky_relu(1.0)
+
+
+@pytest.mark.parametrize("kind, alpha", [("relu", 0.0), ("leaky_relu", 5.0), ("leaky_relu", 0.0)])
+def test_activation_checks_itself_at_construction(kind, alpha):
+    with pytest.raises(InvalidParameter):
+        Activation(kind, alpha)
+
+
+@pytest.mark.parametrize("kind, scale", [
+    ("uniform-nonneg", 0.1), ("uniform_nonneg", -1.0), ("uniform_signed", 0.0),
+    ("uniform_signed", float("nan")), ("uniform_signed", float("inf")),
+])
+def test_weight_scheme_checks_itself_at_construction(kind, scale):
+    with pytest.raises(InvalidParameter):
+        WeightScheme(kind, scale)
 
 
 def test_weight_scheme_sampling():
