@@ -36,7 +36,6 @@ from .experiments import (
     SynthRow,
     ToyScenario,
     decay_classify,
-    metric_series,
     rate_check,
     rate_check_matrix,
     run_grid_cell,
@@ -72,6 +71,7 @@ from .metrics import (
     dirichlet_energy,
     effective_rank,
     mad,
+    metric_series,
     metric_suite,
     normalized_energies,
     numerical_rank,

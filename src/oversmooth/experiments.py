@@ -32,7 +32,8 @@ from .graph import (
     sym_norm_adjacency,
 )
 from .linalg import _dominant_eigenpair, _spectral_gap, _spectrum
-from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, _e_proj, metric_suite
+from .metrics import (_RANK_METRICS, CANONICAL_METRICS, MetricReport, _e_proj, metric_series,
+                      metric_suite)
 from .propagate import (
     Activation,
     PropagationConfig,
@@ -175,17 +176,6 @@ class SynthGrid:
     verdicts: dict  # (row_name, metric) -> bool
     votes: dict  # (row_name, metric) -> tuple[DecayVerdict, ...]
     traces: dict  # (row_name, seed_index) -> tuple[MetricReport, ...]
-
-
-def metric_series(reports, metric: str) -> list[float]:
-    """Extract one metric's layer series; rank metrics are shifted by -1 and
-    ``None`` markers become NaN."""
-    shift = 1.0 if metric in _RANK_METRICS else 0.0
-    out = []
-    for rep in reports:
-        value = getattr(rep, metric)
-        out.append(float("nan") if value is None else float(value) - shift)
-    return out
 
 
 def _row_by_name(name: str) -> SynthRow:

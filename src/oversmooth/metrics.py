@@ -19,6 +19,7 @@ stores ``None`` markers instead of raising, so layer sweeps can keep going.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,15 @@ CANONICAL_METRICS = (
 # Rank-like metrics: they approach 1, not 0, under collapse, so decay
 # classification and cross-run correlation both read them as ``value - 1``.
 _RANK_METRICS = ("erank", "num_rank")
+
+
+def metric_series(reports, metric: str) -> list[float]:
+    """Extract one metric's layer series; rank metrics are shifted by -1 and
+    ``None`` markers become NaN."""
+    shift = 1.0 if metric in _RANK_METRICS else 0.0
+    values = (getattr(rep, metric) for rep in reports)
+    return [math.nan if v is None else float(v) - shift for v in values]
+
 
 # Relative noise floor for the entropy/sum based rank proxies. The Gram route
 # cannot resolve singular values below ~sqrt(n * machine eps) * s_1, so
@@ -154,9 +164,19 @@ def _mad(xs: np.ndarray, edges) -> tuple[float | None, int]:
     if skipped:
         xi, xj, si, sj = xi[live], xj[live], si[live], sj[live]
     dots = np.einsum("ij,ij->i", xi, xj)
+    norms2 = si * sj
+    low = norms2 < sys.float_info.min
+    if low.any():
+        # si * sj left the normal range (0 / 0 or a lossy subnormal): those
+        # edges take their cosine from the rows each divided by its largest
+        # magnitude, whose squared norms are >= 1, over a norm product of 1.
+        a, b = (r / np.max(np.abs(r), axis=1, keepdims=True) for r in (xi[low], xj[low]))
+        sa, sb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+        dots[low] = np.einsum("ij,ij->i", a, b) / np.sqrt(sa * sb)
+        norms2[low] = 1.0
     # sqrt(s * s) == s exactly in IEEE-754, so bitwise-identical rows give
     # cosine 1.0 and contribute an exact zero.
-    cos = np.clip(dots / np.sqrt(si * sj), -1.0, 1.0)
+    cos = np.clip(dots / np.sqrt(norms2), -1.0, 1.0)
     return float(np.sum(1.0 - cos) / kept), skipped
 
 

@@ -34,10 +34,9 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .experiments import metric_series
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
 from .linalg import pow2_scale
-from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_suite
+from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_series, metric_suite
 from .validation import (
     as_matrix,
     body_tokens,
@@ -114,19 +113,20 @@ def _load_csv(lines: list[str]) -> np.ndarray:
     return np.asarray(rows)
 
 
-# The body walk of ``_load_dmat`` in C, for the files it can vouch for: ASCII
-# tokens [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? separated by spaces, lines ended by
-# '\n' (blank ones skipped), exactly ``rows`` lines of ``cols`` tokens, and
-# every token read whole by strtod without ERANGE. Each such token is a
-# float() literal and both round correctly, so the values are float()'s bit
-# for bit. Anything else (tabs, '\r', nan, hex, overflow, subnormals, a wrong
-# count, a locale whose decimal point is not '.') returns 0 and is left to
-# the Python reader. ``buf`` is a bytes object, so buf[len] is a NUL.
+# The body walk of ``_load_dmat`` in C, for the files it can vouch for: lines
+# ended by '\n' (blank ones skipped), exactly ``rows`` lines of ``cols``
+# space-separated tokens, each a run of ``0123456789+-.eE`` that strtod reads
+# whole to a finite value. On those characters C's decimal grammar is
+# float()'s and both round correctly, so the values are float()'s bit for
+# bit, subnormals and underflow to zero included. Anything else (tabs, '\r',
+# nan, hex, overflow, a wrong count, a locale whose decimal point is not '.')
+# returns 0 and is left to the Python reader. ``buf`` is a bytes object, so
+# buf[len] is a NUL.
 _DMAT_SOURCE = r"""
-#include <errno.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#define DIGIT(c) ((c) >= '0' && (c) <= '9')
+#include <string.h>
 int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_t cols,
                double *out) {
     const char *p = buf + start, *end = buf + len;
@@ -144,35 +144,22 @@ int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_
         }
         if (*p == ' ') { p++; continue; }
         if (row == rows || col == cols) return 0;
-        const char *token = p, *digits;
-        if (*p == '+' || *p == '-') p++;
-        for (digits = p; p < end && DIGIT(*p); p++) {}
-        int mantissa = p > digits;
-        if (p < end && *p == '.') {
-            for (digits = ++p; p < end && DIGIT(*p); p++) {}
-            mantissa |= p > digits;
-        }
-        if (!mantissa) return 0;
-        if (p < end && (*p == 'e' || *p == 'E')) {
-            if (++p < end && (*p == '+' || *p == '-')) p++;
-            for (digits = p; p < end && DIGIT(*p); p++) {}
-            if (p == digits) return 0;
-        }
-        if (p < end && *p != ' ' && *p != '\n') return 0;
         char *stop;
-        errno = 0;
-        double value = strtod(token, &stop);
-        if (stop != p || errno) return 0;
+        double value = strtod(p, &stop);
+        p += strspn(p, "0123456789+-.eE");
+        if (stop != p || !isfinite(value) || (p != end && *p != ' ' && *p != '\n')) return 0;
         out[row * cols + col++] = value;
     }
 }
 """
 _DMAT_FLAGS = ("-O2", "-fPIC", "-shared")
 # Odd but valid spellings, blank and space-only lines, leading and trailing
-# spaces, no final newline, and values that stress rounding: what the kernel
-# must parse exactly as ``_load_dmat`` before it is used.
+# spaces, no final newline, and values that stress rounding, subnormals and
+# underflow among them: what the kernel must parse exactly as ``_load_dmat``
+# before it is used.
 _DMAT_PROBE = (
-    b"dmat 1 3 4\n\n 0.1 -2.5e-3  +1E+300 -0.\n   \n.5 7 9007199254740993 -0\n"
+    b"dmat 1 4 4\n\n 0.1 -2.5e-3  +1E+300 -0.\n   \n.5 7 9007199254740993 -0\n"
+    b"5e-324 -2.2250738585072011e-308 2.4703282292062328e-324 -1e-400\n"
     b"2.2250738585072014e-308 123456789012345678901234567890 1.7976931348623157e308 4e-0"
 )
 
@@ -376,9 +363,9 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
 
     Needs at least three manifests with pairwise distinct depths. Rank
     metrics are shifted by -1 first; all values are clamped to
-    ``CLAMP_FLOOR`` before the natural log. A metric that is undefined on
-    some run, or constant after the transform, gets a None entry and an
-    explanation instead of poisoning the rest.
+    ``CLAMP_FLOOR`` before the natural log. A metric that is undefined or
+    infinite on some run, or constant after the transform, gets a None entry
+    and an explanation instead of poisoning the rest.
     """
     manifests = list(manifests)
     if len(manifests) < 3:
@@ -406,8 +393,9 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
     for metric in CANONICAL_METRICS:
         logs = []
         for manifest, value in zip(manifests, metric_series(reports, metric)):
-            if math.isnan(value):
-                failures[metric] = f"undefined at depth {manifest.depth}"
+            if not math.isfinite(value):
+                kind = "undefined" if math.isnan(value) else "infinite"
+                failures[metric] = f"{kind} at depth {manifest.depth}"
                 correlations[metric] = None
                 break
             logs.append(math.log(max(value, CLAMP_FLOOR)))

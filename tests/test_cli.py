@@ -296,13 +296,13 @@ def test_synth_unknown_row_is_parse_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def correlate_fixture(tmp_path):
+def correlate_fixture(tmp_path, scale=1.0):
     g, gpath = graph_file(tmp_path)
     u = constant_unit_vector(3)
     w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     for k, (t, acc) in enumerate(zip((0.5, 0.1, 0.02), (0.9, 0.7, 0.2))):
         x = np.outer(u, [1.0, 0.0]) + t * np.outer(w, [0.0, 1.0])
-        write_matrix(x, tmp_path / f"run{k}.dmat")
+        write_matrix(scale * x, tmp_path / f"run{k}.dmat")
         (tmp_path / f"run{k}.json").write_text(json.dumps({
             "depth": k + 2,
             "accuracy": acc,
@@ -327,6 +327,21 @@ def test_correlate_writes_csv_and_ratio(tmp_path, capsys):
     content = (out / "correlations.csv").read_text().strip().split("\n")
     assert content[0] == "metric,r"
     assert len(content) == 8
+
+
+def test_correlate_leaves_out_only_the_infinite_metrics(tmp_path, capsys):
+    # Features near 1e200 have absolute energies beyond the float range: those
+    # two metrics are infinite on every run, the scale-free ones still correlate.
+    gpath = correlate_fixture(tmp_path, scale=1e200)
+    out = tmp_path / "corr"
+    code = main([
+        "correlate", "--manifests", str(tmp_path / "run*.json"),
+        "--graph", str(gpath), "--out", str(out),
+    ])
+    assert code == EXIT_OK, capsys.readouterr().err
+    rows = dict(line.split(",") for line in (out / "correlations.csv").read_text().split()[1:])
+    assert rows["e_dir"] == rows["e_proj"] == "nan"
+    assert -1.0 <= float(rows["e_proj_norm"]) <= 1.0
 
 
 def test_correlate_empty_glob_is_insufficient(tmp_path, capsys):

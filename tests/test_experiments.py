@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import experiments, metrics
 from oversmooth.errors import DisconnectedGraph, InvalidParameter, SeriesTooShort
 from oversmooth.experiments import (
     DECAY_WINDOW,
@@ -97,6 +98,10 @@ def test_decay_validation():
         decay_classify([1.0] * (MIN_SERIES_LENGTH - 1), "energy")
     with pytest.raises(InvalidParameter):
         decay_classify([1.0] * 40, "slope")
+
+
+def test_metric_series_has_one_owner():
+    assert experiments.metric_series is metrics.metric_series
 
 
 def test_metric_series_shifts_rank_units():

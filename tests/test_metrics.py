@@ -137,6 +137,16 @@ def test_mad_scale_invariant():
     assert_allclose(mad(x, g), mad(1e-8 * x, g), rtol=1e-10)
 
 
+def test_mad_rows_whose_norm_product_underflows():
+    # Rows near 1e-155 have squared norms whose product leaves the float range.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    x = np.array([[1.0, 1.0], [1e-155, 0.0], [0.0, 1e-155]])
+    assert_allclose(mad(x, g), (2.0 - 1.0 / math.sqrt(2.0)) / 2.0, rtol=1e-15)
+    tiny = np.array([[1.0, 1.0], [1e-155, 3e-156], [1e-155, 3e-156]])
+    assert mad(tiny, Graph.from_edges(3, [(1, 2)])) == 0.0
+    assert metric_suite(tiny, g, np.full(3, 1.0 / math.sqrt(3.0))).mad == mad(tiny, g)
+
+
 def test_mad_skips_zero_rows():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])

@@ -174,6 +174,13 @@ def every_exponent(seed: int) -> list[float]:
     return [float(v) for v in np.array(words, dtype=np.uint64).view(np.float64)]
 
 
+def random_subnormals(seed: int, count: int) -> list[float]:
+    """Doubles of random sign and mantissa with a zero exponent field."""
+    gen = Xoshiro256pp(seed)
+    words = [gen.next_u64() & ~(0x7FF << 52) for _ in range(count)]
+    return [float(v) for v in np.array(words, dtype=np.uint64).view(np.float64)]
+
+
 def near_halfway(v: float) -> list[str]:
     """The exact decimal midpoint between ``v`` and the next double up, and
     two numbers a relative 1e-60 below and above it."""
@@ -185,16 +192,22 @@ def near_halfway(v: float) -> list[str]:
 def equivalence_cases() -> dict:
     big = [s * m * 1e300 for s in (1.0, -1.0) for m in (1.0, 3.7, 179.76931348623157)]
     tokens = {
-        "repr of random bits": [repr(v) for v in random_doubles(11, 4096) if abs(v) >= 2.0**-1022],
+        "repr of random bits": [repr(v) for v in random_doubles(11, 4096)],
         "every exponent": [repr(v) for v in every_exponent(5)],
         "signed zeros": ["0.0", "-0.0", "0", "-0", "+0", "0e5", "-0.000e-99", ".0", "0."],
         "above 1e300": [repr(v) for v in big] + ["1.7976931348623157e308", "1.7976931348623158e308"],
-        "17-digit mantissas": [f"{v:.16e}" for v in random_doubles(13, 512) if abs(v) >= 1e-300],
-        "30-digit mantissas": [f"{v:.29e}" for v in random_doubles(17, 512) if abs(v) >= 1e-300],
+        "17-digit mantissas": [f"{v:.16e}" for v in random_doubles(13, 512)],
+        "30-digit mantissas": [f"{v:.29e}" for v in random_doubles(17, 512)],
         "near halfway": ["9007199254740993", "9007199254740995", "2.2250738585072014e-308",
                          "0.1000000000000000055511151231257827", "1e23", "8.988465674311579e307",
                          "+.5E+0", "5."]
         + [tok for v in every_exponent(7)[1:-1:97] for tok in near_halfway(v)],
+        "subnormals and underflow": [repr(v) for v in random_subnormals(19, 512)]
+        + [f"{v:.29e}" for v in random_subnormals(23, 64)]
+        + [tok for v in random_subnormals(29, 32) for tok in near_halfway(v)]
+        + ["5e-324", "-5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+           "2.2250738585072011e-308", "-2.2250738585072009e-308", "1e-400", "-1e-400",
+           "-2e-99999", "0.000001e-318"],
     }
     cases = {}
     for name, toks in tokens.items():
@@ -510,10 +523,15 @@ def test_correlate_rejects_zero_accuracy_baseline(tmp_path):
 def test_correlate_reports_undefined_metrics(tmp_path):
     g, manifests = build_projection_fixture(tmp_path, (0.5, 0.1, 0.02), (0.9, 0.7, 0.2))
     write_matrix(np.zeros((3, 2)), manifests[1].layer_paths[-1])
+    # Features near 1e200 have an absolute energy beyond the float range.
+    deep = manifests[2].layer_paths[-1]
+    write_matrix(1e200 * load_matrix(deep), deep)
     report = correlate(manifests, g)
     assert report.correlations["e_dir_norm"] is None
     assert report.failures["e_dir_norm"] == "undefined at depth 4"
     assert report.correlations["mad"] is None
+    assert report.correlations["e_proj"] is None
+    assert report.failures["e_proj"] == "infinite at depth 6"
 
 
 def test_correlate_resolves_each_direction_source_once(tmp_path, monkeypatch):
