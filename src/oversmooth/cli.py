@@ -167,8 +167,9 @@ def _cmd_rollout(args) -> int:
         use_residual=args.residual,
     )
     u = pipeline._direction("gcn" if args.arch == "gcn" else "const", g)
-    trace = propagate.rollout(config, metric_hook=lambda x: metrics.metric_suite(x, g, u))
-    written = pipeline.write_report(args.out, traces={(args.arch, args.seed): trace.reports})
+    trace = propagate.rollout(config)
+    reports = metrics.metric_suite(trace.features, g, u)
+    written = pipeline.write_report(args.out, traces={(args.arch, args.seed): reports})
     if trace.truncated_at is not None:
         print(f"truncated at layer {trace.truncated_at}", file=sys.stderr)
     for path in written:

@@ -208,8 +208,7 @@ def run_grid_cell(row: SynthRow, config: SynthConfig, seed_index: int) -> tuple[
         weights=row.weights,
         seed=subseed(cell_seed, 1),
     )
-    trace = rollout(prop, metric_hook=lambda x: metric_suite(x, g, u))
-    return trace.reports
+    return metric_suite(rollout(prop).features, g, u)
 
 
 def synth_table(config: SynthConfig | None = None) -> SynthGrid:

@@ -3,7 +3,8 @@
 Singular values go through the Gram matrix of the smaller dimension and
 LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), so a
 tall-and-thin feature matrix (the common case here) costs one small dense
-eigenproblem. Every metric computes its singular values this way. The
+eigenproblem. Every metric computes its singular values this way, and a
+stack of matrices takes one batched Gram product and one batched solve. The
 dominant eigenpair and the spectral gap of a propagation matrix, which need
 not be symmetric, come from one call to LAPACK's general eigensolver
 (``numpy.linalg.eig``).
@@ -11,50 +12,53 @@ not be symmetric, come from one call to LAPACK's general eigensolver
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateSpectrum
 from .validation import as_matrix, as_square_matrix
 
 
-def pow2_scale(m) -> float:
+def pow2_scale(m):
     """Power of two bracketing the largest entry magnitude (1.0 for zero).
 
     Division by this scale is exact in IEEE-754, so scale-invariant
     quantities computed from the scaled matrix are bitwise identical to the
     unscaled computation whenever the latter stays in range, and remain
-    finite when it does not.
+    finite when it does not. A vector or a matrix gives one float; a stack
+    ``(..., rows, cols)`` gives an array of one scale per matrix.
     """
-    peak = float(np.max(np.abs(m)))
-    if peak == 0.0:
-        return 1.0
-    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
+    m = np.asarray(m)
+    peak = np.max(np.abs(m), axis=tuple(range(max(m.ndim - 2, 0), m.ndim)))
+    # frexp(0) has exponent 0, so a zero matrix gets scale 1.
+    scale = np.ldexp(1.0, np.minimum(np.frexp(peak)[1], 1023))
+    return float(scale) if m.ndim <= 2 else scale
 
 
 def singular_values(m) -> np.ndarray:
-    """All singular values, descending.
+    """All singular values, descending; for a stack ``(..., rows, cols)``,
+    those of each matrix along the last axis.
 
     Computed as square roots of the eigenvalues of the smaller Gram matrix,
-    found by LAPACK's symmetric eigensolver; eigenvalues pushed slightly
-    negative by rounding are clamped to zero. The matrix is prescaled by an
-    exact power of two so the squared entries of the Gram matrix cannot
-    overflow for huge feature values. Raises ConvergenceFailure if LAPACK
-    does not converge.
+    found by LAPACK's symmetric eigensolver (one batched call for a stack);
+    eigenvalues pushed slightly negative by rounding are clamped to zero.
+    Each matrix is prescaled by an exact power of two so the squared entries
+    of the Gram matrix cannot overflow for huge feature values. A matrix of
+    a stack gets the same bits as the matrix alone. Raises
+    ConvergenceFailure if LAPACK does not converge.
     """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    scale = pow2_scale(m)
-    if scale != 1.0:
-        m = m / scale
-    gram = m @ m.T if rows <= cols else m.T @ m
-    gram = (gram + gram.T) * 0.5
+    m = as_matrix(m, stack=True)
+    rows, cols = m.shape[-2:]
+    scale = np.asarray(pow2_scale(m))
+    if np.any(scale != 1.0):
+        m = m / scale[..., None, None]
+    mt = np.swapaxes(m, -1, -2)
+    gram = m @ mt if rows <= cols else mt @ m
+    gram = (gram + np.swapaxes(gram, -1, -2)) * 0.5
     try:
-        vals = np.linalg.eigvalsh(gram)[::-1]
+        vals = np.linalg.eigvalsh(gram)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK symmetric eigensolver failed: {exc}") from exc
-    return np.sqrt(np.maximum(vals, 0.0)) * scale
+    return np.sqrt(np.maximum(vals, 0.0)) * scale[..., None]
 
 
 def _spectrum(a) -> tuple[np.ndarray, np.ndarray]:

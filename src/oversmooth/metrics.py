@@ -7,13 +7,20 @@ rank-one subspace spanned by ``u``. The rank family (numerical rank, stable
 rank, effective rank) watches the singular value profile collapse toward
 rank one.
 
-Each formula lives in one private kernel that runs on a power-of-two
-prescaled copy of the features and validates nothing. ``metric_suite`` and
-the standalone functions are views: they validate their input, prescale
-once, call the kernels, and unscale the absolute energies or raise. So a
-standalone function and the matching suite field agree bit for bit on every
-input. On degenerate input (zero matrix, fully skipped edge set) the suite
-stores ``None`` markers instead of raising, so layer sweeps can keep going.
+Each formula lives in one private kernel that runs on a stack ``(L, n, w)``
+of power-of-two prescaled layers and validates nothing: one edge gather per
+kernel, one batched Gram product and one batched eigensolve serve every
+layer, and only the rank tail (noise floor, entropy, clamps over at most
+``min(n, w)`` singular values) runs per layer. ``metric_suite`` and the
+standalone functions are views: they validate their input once, prescale,
+call the kernels, and unscale the absolute energies or raise. A lone matrix
+is the stack of one layer, so each formula has one code path: a standalone
+function and the matching suite field agree bit for bit on every input, and
+so do a layer of a stack and the same matrix alone. ``metric_suite`` takes a
+whole rollout (``LayerTrace.features``) in one call and works through it a
+bounded number of layers at a time. On degenerate input (zero matrix, fully
+skipped edge set) the suite stores ``None`` markers instead of raising, so
+layer sweeps can keep going.
 """
 
 from __future__ import annotations
@@ -92,13 +99,18 @@ class MetricReport:
     skipped_mad_edges: int
 
 
-def _features_for_graph(x, g: Graph) -> np.ndarray:
-    x = as_matrix(x, "features")
-    if x.shape[0] != g.n:
+def _features(x, rows: int | None = None, stack: bool = False) -> np.ndarray:
+    # The validated matrix (or, with ``stack``, an (L, n, w) stack), made
+    # C-contiguous: one layout for every input, so a layer of a stack and
+    # the same matrix alone are reduced in the same order, bit for bit.
+    x = as_matrix(x, "features", stack=stack)
+    if x.ndim > 3:
+        raise ShapeMismatch(f"features must be 2-D or 3-D, got ndim={x.ndim}")
+    if rows is not None and x.shape[-2] != rows:
         raise ShapeMismatch(
-            f"features have {x.shape[0]} rows for a graph with {g.n} vertices"
+            f"features have {x.shape[-2]} rows for a graph with {rows} vertices"
         )
-    return x
+    return np.ascontiguousarray(x)
 
 
 def _check_direction(u, n: int, unit: bool = False, nonzero: bool = False) -> np.ndarray:
@@ -119,16 +131,29 @@ def _check_exponent(proj_exponent: int) -> None:
         raise InvalidParameter(f"proj_exponent must be 1 or 2, got {proj_exponent}")
 
 
-# Kernels. They take the prescaled copy ``xs`` and validate nothing.
+# Kernels. They take a C-contiguous (L, n, w) stack of prescaled layers,
+# validate nothing and return one value per layer. Every per-layer sum runs
+# over one contiguous row in C order, so a layer gets the same bits alone as
+# inside any stack.
+
+# Element budget of one (layers x max(edges, vertices) x width) temporary:
+# metric_suite evaluates a stack in chunks of as many layers as fit in it.
+_CHUNK_ELEMENTS = 1 << 13
 
 
-def _prescale(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _matrix_sums(a: np.ndarray):
+    # Sum of each matrix of a (..., r, c) array: one pairwise sum over its
+    # r*c entries in C order, as numpy sums a contiguous matrix alone.
+    return np.sum(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
+
+
+def _prescale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Division by a power of two is exact, so every scale-invariant value is
     # bitwise identical to the raw computation in range and finite out of
-    # range. Returns (xs, scale, ||xs||_F^2).
+    # range. Returns (xs, scales, ||xs||_F^2), one scale and norm per layer.
     scale = pow2_scale(x)
-    xs = x if scale == 1.0 else x / scale
-    return xs, scale, float(np.sum(xs * xs))
+    xs = x if np.all(scale == 1.0) else x / scale[:, None, None]
+    return xs, scale, _matrix_sums(xs * xs)
 
 
 def _unscale_energy(value: float, scale: float) -> float:
@@ -139,32 +164,36 @@ def _unscale_energy(value: float, scale: float) -> float:
     return (value * scale) * scale
 
 
-def _gather(xs: np.ndarray, g: Graph):
-    # Both endpoint rows of every edge, gathered once for e_dir and MAD.
+def _gather(a: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    # The rows of both endpoints of every edge, as two (L, m, w) arrays.
+    # np.take keeps them C-contiguous; fancy indexing of the middle axis
+    # would lay them out edge-major, and a per-layer sum over that layout
+    # adds in another order.
     ei, ej = g.edge_arrays
-    return ei, ej, xs[ei], xs[ej]
+    return np.take(a, ei, axis=1), np.take(a, ej, axis=1)
 
 
-def _e_dir(edges, u: np.ndarray) -> float:
-    ei, ej, xi, xj = edges
-    diff = xi / u[ei, None] - xj / u[ej, None]
-    return float(np.sum(diff * diff))
+def _e_dir(xs: np.ndarray, g: Graph, u: np.ndarray) -> np.ndarray:
+    diff, other = _gather(xs / u[:, None], g)
+    diff -= other
+    diff *= diff
+    return _matrix_sums(diff)
 
 
-def _mad(xs: np.ndarray, edges) -> tuple[float | None, int]:
-    # (mean angular distance or None, edges skipped for a zero endpoint row).
-    ei, ej, xi, xj = edges
-    sq = np.einsum("ij,ij->i", xs, xs)
-    si, sj = sq[ei], sq[ej]
-    live = (si > 0.0) & (sj > 0.0)
-    kept = int(np.count_nonzero(live))
-    skipped = int(ei.shape[0]) - kept
-    if kept == 0:
-        return None, skipped
-    if skipped:
-        xi, xj, si, sj = xi[live], xj[live], si[live], sj[live]
-    dots = np.einsum("ij,ij->i", xi, xj)
-    norms2 = si * sj
+def _mad(xs: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    # (1 - cos per edge, live mask), each (L, m). An edge is live when both
+    # endpoint rows have a nonzero entry; a dead edge's term is meaningless.
+    ei, ej = g.edge_arrays
+    xi, xj = _gather(xs, g)
+    sq = np.einsum("lij,lij->li", xs, xs)
+    nonzero = sq > 0.0
+    if not nonzero.all():
+        # The squared norm of a tiny nonzero row can underflow to zero.
+        zero = ~nonzero
+        nonzero[zero] = np.any(xs[zero] != 0.0, axis=1)
+    live = nonzero[:, ei] & nonzero[:, ej]
+    norms2 = np.where(live, sq[:, ei] * sq[:, ej], 1.0)
+    dots = np.einsum("lij,lij->li", xi, xj)
     low = norms2 < sys.float_info.min
     if low.any():
         # si * sj left the normal range (0 / 0 or a lossy subnormal): those
@@ -176,13 +205,20 @@ def _mad(xs: np.ndarray, edges) -> tuple[float | None, int]:
         norms2[low] = 1.0
     # sqrt(s * s) == s exactly in IEEE-754, so bitwise-identical rows give
     # cosine 1.0 and contribute an exact zero.
-    cos = np.clip(dots / np.sqrt(norms2), -1.0, 1.0)
-    return float(np.sum(1.0 - cos) / kept), skipped
+    return 1.0 - np.clip(dots / np.sqrt(norms2), -1.0, 1.0), live
 
 
-def _e_proj(xs: np.ndarray, u: np.ndarray) -> float:
-    resid = xs - np.outer(u, u @ xs)
-    return float(np.sum(resid * resid))
+def _mean_angle(terms: np.ndarray, live: np.ndarray, kept: int) -> float | None:
+    # One layer's MAD: a 1-D sum over its live terms, in edge order.
+    return float(np.sum(terms[live]) / kept) if kept else None
+
+
+def _e_proj(xs: np.ndarray, u: np.ndarray):
+    # Per matrix of any (..., n, w) array; a lone matrix gives a scalar.
+    resid = u[:, None] * (u @ xs)[..., None, :]
+    np.subtract(xs, resid, out=resid)
+    resid *= resid
+    return _matrix_sums(resid)
 
 
 def _normalized(e_dir: float, e_proj: float, f2: float, scale: float,
@@ -192,13 +228,12 @@ def _normalized(e_dir: float, e_proj: float, f2: float, scale: float,
     return e_dir / f2, (e_proj / math.sqrt(f2)) * scale
 
 
-def _rank_proxies(xs: np.ndarray) -> tuple[float, float, float, float]:
-    # (num_rank, stable_rank, erank, s_1) of a nonzero prescaled matrix, each
-    # rank clamped into [1, min(rows, cols)]. Summing the solver's own
-    # noise-clipped spectrum rather than the raw squared entries makes an
-    # exactly rank-deficient matrix report an exact ratio.
-    bound = float(min(xs.shape))
-    sv = singular_values(xs)
+def _rank_proxies(sv: np.ndarray, bound: float) -> tuple[float, float, float, float]:
+    # (num_rank, stable_rank, erank, s_1) from the descending singular values
+    # of one nonzero prescaled matrix, each rank clamped into [1, bound].
+    # Summing the solver's own noise-clipped spectrum rather than the raw
+    # squared entries makes an exactly rank-deficient matrix report an exact
+    # ratio.
     s1 = float(sv[0])
     sv = sv[sv >= SV_NOISE_FLOOR * s1]
     sq = float(sv @ sv)
@@ -213,7 +248,48 @@ def _rank_proxies(xs: np.ndarray) -> tuple[float, float, float, float]:
     )
 
 
-# Views.
+def _suite(x: np.ndarray, g: Graph, u: np.ndarray, proj_exponent: int) -> list[MetricReport]:
+    # Every kernel once over the stack x; only the scalar tail (rank
+    # proxies, MAD mean, unscaling) runs per layer.
+    xs, scale, f2 = _prescale(x)
+    e_dir, e_proj = _e_dir(xs, g, u), _e_proj(xs, u)
+    terms, live = _mad(xs, g)
+    kept = np.count_nonzero(live, axis=1)
+    sv = singular_values(xs)
+    bound = float(min(xs.shape[1:]))
+    reports = []
+    for layer in range(xs.shape[0]):
+        s, f, k = float(scale[layer]), float(f2[layer]), int(kept[layer])
+        ed, ep = float(e_dir[layer]), float(e_proj[layer])
+        if f > 0.0:
+            e_dir_norm, e_proj_norm = _normalized(ed, ep, f, s, proj_exponent)
+            num_rank, stable, erank, _ = _rank_proxies(sv[layer], bound)
+        else:
+            e_dir_norm = e_proj_norm = num_rank = stable = erank = None
+        reports.append(MetricReport(
+            e_dir=_unscale_energy(ed, s),
+            e_dir_norm=e_dir_norm,
+            e_proj=_unscale_energy(ep, s),
+            e_proj_norm=e_proj_norm,
+            mad=_mean_angle(terms[layer], live[layer], k),
+            num_rank=num_rank,
+            stable_rank=stable,
+            erank=erank,
+            frob_norm=math.sqrt(f) * s,
+            skipped_mad_edges=live.shape[1] - k,
+        ))
+    return reports
+
+
+# Views. Each validates once and runs the kernels on a stack; a lone matrix
+# is the stack of one layer.
+
+
+def _one_layer(x, rows: int | None = None) -> tuple[np.ndarray, float, float]:
+    # A lone validated matrix as the prescaled stack of one layer, with its
+    # scale and ||xs||_F^2.
+    xs, scale, f2 = _prescale(_features(x, rows)[None])
+    return xs, float(scale[0]), float(f2[0])
 
 
 def dirichlet_energy(x, g: Graph, u) -> float:
@@ -223,18 +299,16 @@ def dirichlet_energy(x, g: Graph, u) -> float:
     entries must be nonzero. Zero exactly when every row of ``x`` is the
     same multiple of its ``u`` entry.
     """
-    x = _features_for_graph(x, g)
+    xs, scale, _ = _one_layer(x, g.n)
     u = _check_direction(u, g.n, nonzero=True)
-    xs, scale, _ = _prescale(x)
-    return _unscale_energy(_e_dir(_gather(xs, g), u), scale)
+    return _unscale_energy(float(_e_dir(xs, g, u)[0]), scale)
 
 
 def projection_energy(x, u) -> float:
     """Squared Frobenius mass of ``x`` outside the line spanned by unit ``u``."""
-    x = as_matrix(x, "features")
-    u = _check_direction(u, x.shape[0], unit=True)
-    xs, scale, _ = _prescale(x)
-    return _unscale_energy(_e_proj(xs, u), scale)
+    xs, scale, _ = _one_layer(x)
+    u = _check_direction(u, xs.shape[1], unit=True)
+    return _unscale_energy(float(_e_proj(xs, u)[0]), scale)
 
 
 def normalized_energies(x, g: Graph, u, proj_exponent: int = 2) -> tuple[float, float]:
@@ -246,35 +320,36 @@ def normalized_energies(x, g: Graph, u, proj_exponent: int = 2) -> tuple[float, 
     even when the raw energies overflow.
     """
     _check_exponent(proj_exponent)
-    x = _features_for_graph(x, g)
+    xs, scale, f2 = _one_layer(x, g.n)
     u = _check_direction(u, g.n, unit=True, nonzero=True)
-    xs, scale, f2 = _prescale(x)
     if f2 == 0.0:
         raise ZeroMatrix("normalized energies are undefined for a zero matrix")
-    return _normalized(_e_dir(_gather(xs, g), u), _e_proj(xs, u), f2, scale, proj_exponent)
+    e_dir, e_proj = float(_e_dir(xs, g, u)[0]), float(_e_proj(xs, u)[0])
+    return _normalized(e_dir, e_proj, f2, scale, proj_exponent)
 
 
 def mad(x, g: Graph) -> float:
     """Mean angular distance ``1 - cos`` across edges, in ``[0, 2]``.
 
-    Edges with a zero-norm endpoint are skipped; raises NoEdges on an
+    Edges with a zero endpoint row are skipped; raises NoEdges on an
     edgeless graph and AllEdgesSkipped when nothing remains.
     """
-    x = _features_for_graph(x, g)
-    if g.edge_arrays[0].shape[0] == 0:
+    xs, _, _ = _one_layer(x, g.n)
+    edge_count = g.edge_arrays[0].shape[0]
+    if edge_count == 0:
         raise NoEdges("mean angular distance needs at least one edge")
-    xs, _, _ = _prescale(x)
-    value, skipped = _mad(xs, _gather(xs, g))
-    if value is None:
-        raise AllEdgesSkipped(f"all {skipped} edges touch a zero-norm row")
-    return value
+    terms, live = _mad(xs, g)
+    kept = int(np.count_nonzero(live))
+    if kept == 0:
+        raise AllEdgesSkipped(f"all {edge_count} edges touch a zero-norm row")
+    return _mean_angle(terms[0], live[0], kept)
 
 
 def _nonzero_rank_proxies(x, what: str) -> tuple[float, float, float, float]:
-    xs, _, f2 = _prescale(as_matrix(x, "features"))
+    xs, _, f2 = _one_layer(x)
     if f2 == 0.0:
         raise ZeroMatrix(f"{what} is undefined for a zero matrix")
-    return _rank_proxies(xs)
+    return _rank_proxies(singular_values(xs)[0], float(min(xs.shape[1:])))
 
 
 def numerical_rank(x) -> float:
@@ -292,37 +367,26 @@ def effective_rank(x) -> float:
     return _nonzero_rank_proxies(x, "effective rank")[2]
 
 
-def metric_suite(x, g: Graph, u, proj_exponent: int = 2) -> MetricReport:
+def metric_suite(x, g: Graph, u, proj_exponent: int = 2):
     """Evaluate every metric once, sharing the singular value computation.
 
-    ``u`` must be unit norm with nonzero entries. Degenerate cases become
-    ``None`` markers rather than exceptions; see MetricReport.
+    ``x`` is one ``(n, w)`` feature matrix, which gives one MetricReport, or
+    a stack ``(L, n, w)`` of layers, which gives a tuple of L reports, each
+    bit-identical to the call on its layer alone. A stack is validated once
+    and evaluated a bounded number of layers at a time. ``u`` must be unit
+    norm with nonzero entries. Degenerate cases become ``None`` markers
+    rather than exceptions; see MetricReport.
     """
     _check_exponent(proj_exponent)
-    x = _features_for_graph(x, g)
+    x = _features(x, g.n, stack=True)
     u = _check_direction(u, g.n, unit=True, nonzero=True)
-    xs, scale, f2 = _prescale(x)
-    edges = _gather(xs, g)
-    e_dir = _e_dir(edges, u)
-    e_proj = _e_proj(xs, u)
-    mad_value, skipped = _mad(xs, edges)
-    if f2 > 0.0:
-        e_dir_norm, e_proj_norm = _normalized(e_dir, e_proj, f2, scale, proj_exponent)
-        num_rank, stable, erank, _ = _rank_proxies(xs)
-    else:
-        e_dir_norm = e_proj_norm = num_rank = stable = erank = None
-    return MetricReport(
-        e_dir=_unscale_energy(e_dir, scale),
-        e_dir_norm=e_dir_norm,
-        e_proj=_unscale_energy(e_proj, scale),
-        e_proj_norm=e_proj_norm,
-        mad=mad_value,
-        num_rank=num_rank,
-        stable_rank=stable,
-        erank=erank,
-        frob_norm=math.sqrt(f2) * scale,
-        skipped_mad_edges=skipped,
-    )
+    stack = x if x.ndim == 3 else x[None]
+    n, w = stack.shape[1:]
+    step = max(1, _CHUNK_ELEMENTS // (max(g.edge_arrays[0].shape[0], n) * w))
+    reports = []
+    for start in range(0, stack.shape[0], step):
+        reports += _suite(stack[start:start + step], g, u, proj_exponent)
+    return reports[0] if x.ndim == 2 else tuple(reports)
 
 
 def numrank_upper_bound_check(x, u) -> tuple[float, float]:
@@ -332,10 +396,9 @@ def numrank_upper_bound_check(x, u) -> tuple[float, float]:
     Both sides are dimensionless and are evaluated on a power-of-two scaled
     copy of ``x`` so neither square can overflow.
     """
-    x = as_matrix(x, "features")
-    u = _check_direction(u, x.shape[0], unit=True)
-    xs, _, f2 = _prescale(x)
+    xs, _, f2 = _one_layer(x)
+    u = _check_direction(u, xs.shape[1], unit=True)
     if f2 == 0.0:
         raise ZeroMatrix("bound is undefined for a zero matrix")
-    lhs, _, _, s1 = _rank_proxies(xs)
-    return lhs, 1.0 + _e_proj(xs, u) / (s1 * s1)
+    lhs, _, _, s1 = _rank_proxies(singular_values(xs)[0], float(min(xs.shape[1:])))
+    return lhs, 1.0 + float(_e_proj(xs, u)[0]) / (s1 * s1)

@@ -152,13 +152,16 @@ class PropagationConfig:
 class LayerTrace:
     """Feature matrices (and optional per-layer reports) of one rollout.
 
-    ``features[l]`` is the state after ``l`` layers, starting at the input.
-    ``truncated_at`` is the first layer whose output overflowed; that layer's
-    features are not recorded.
+    ``features`` is one ``(k+1, n, w)`` array holding the input and the
+    states after each of the ``k`` recorded layers: ``features[l]`` is the
+    state after ``l`` layers. It is the leading slice of the buffer the
+    rollout wrote into, so ``metric_suite(features, g, u)`` evaluates the
+    whole rollout in one call, with no copy. ``truncated_at`` is the first
+    layer whose output overflowed; that layer's features are not recorded.
     """
 
     config: PropagationConfig
-    features: tuple[np.ndarray, ...]
+    features: np.ndarray
     reports: tuple | None
     truncated_at: int | None
 
@@ -230,17 +233,20 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
 def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     """Run a configured propagation and record every layer.
 
-    ``metric_hook(features)`` is evaluated on the input and after every
-    layer; its results land in ``LayerTrace.reports``. Any layer output with
-    an entry above ``OVERFLOW_LIMIT`` (or non-finite) truncates the rollout.
+    Every state is written into one preallocated ``(depth+1, n, w)``
+    buffer. ``metric_hook(features)`` is evaluated on the input and after
+    every layer; its results land in ``LayerTrace.reports``. Any layer
+    output with an entry above ``OVERFLOW_LIMIT`` (or non-finite) truncates
+    the rollout.
     """
     g = config.graph
     rng = Xoshiro256pp(config.seed)
+    features = np.empty((config.depth + 1, g.n, config.width))
     if config.init is None:
-        x = rng.matrix(g.n, config.width, 0.0, 1.0)
+        features[0] = rng.matrix(g.n, config.width, 0.0, 1.0)
     else:
-        x = config.init.copy()
-    features = [x]
+        features[0] = config.init
+    x = features[0]
     reports = [metric_hook(x)] if metric_hook is not None else None
     fixed_a = sym_norm_adjacency(g) if config.arch == "gcn" else None
     scheme = config.weights
@@ -261,16 +267,16 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
             a = fixed_a
         residual = (features[0], w_res) if config.use_residual else None
         x_next = gcn_layer(a, x, w, config.activation, bias, residual)
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > OVERFLOW_LIMIT:
+        # NaN fails the comparison and inf exceeds the limit: one reduction.
+        if not np.max(np.abs(x_next)) <= OVERFLOW_LIMIT:
             truncated_at = layer + 1
             break
-        x = x_next
-        features.append(x)
+        x = features[layer + 1] = x_next
         if reports is not None:
             reports.append(metric_hook(x))
     return LayerTrace(
         config=config,
-        features=tuple(features),
+        features=features[: truncated_at or config.depth + 1],
         reports=None if reports is None else tuple(reports),
         truncated_at=truncated_at,
     )

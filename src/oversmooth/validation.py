@@ -19,12 +19,14 @@ import numpy as np
 from .errors import InvalidParameter, IoError, ParseError, ShapeMismatch
 
 
-def as_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """Return ``obj`` as a 2-D float64 array with finite entries."""
+def as_matrix(obj, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Return ``obj`` as a 2-D float64 array with finite entries; with
+    ``stack``, a stack ``(..., rows, cols)`` of such matrices is accepted too."""
     arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
+        shape = "2-D or a stack of 2-D matrices" if stack else "2-D"
+        raise ShapeMismatch(f"{name} must be {shape}, got ndim={arr.ndim}")
+    if arr.size == 0:
         raise ShapeMismatch(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameter(f"{name} contains non-finite entries")

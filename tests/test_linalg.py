@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oversmooth.errors import ConvergenceFailure, DegenerateSpectrum
+from oversmooth.errors import (
+    ConvergenceFailure,
+    DegenerateSpectrum,
+    InvalidParameter,
+    ShapeMismatch,
+)
 from oversmooth.graph import barabasi_albert, gcn_dominant_eigenvector, sym_norm_adjacency
-from oversmooth.linalg import dominant_eigenpair, singular_values, spectral_gap
+from oversmooth.linalg import dominant_eigenpair, pow2_scale, singular_values, spectral_gap
 from oversmooth.rng import Xoshiro256pp
 
 
@@ -78,6 +83,56 @@ def test_singular_values_match_svd_reference():
             assert_allclose((got / s1) ** 2, (want / s1) ** 2, rtol=0.0, atol=1e-12)
             if full_rank:
                 assert_allclose(got, want, rtol=0.0, atol=1e-12 * s1)
+
+
+def magnitude_stack(rows: int, cols: int) -> np.ndarray:
+    # Six matrices: ordinary, zero, beyond 1e300, with entries at the top of
+    # the float range, tiny, and rank one.
+    rng = Xoshiro256pp(rows * 100 + cols)
+    stack = np.stack([rng.matrix(rows, cols, -1.0, 1.0) for _ in range(6)])
+    stack[1] = 0.0
+    stack[2] *= 1e305
+    stack[3] = 0.0
+    stack[3, 0, 0], stack[3, -1, -1] = 1.2e308, -1e308
+    stack[4] *= 1e-300
+    stack[5] = np.outer(rng.fill(rows, -1.0, 1.0), rng.fill(cols, -1.0, 1.0))
+    return stack
+
+
+def test_singular_values_of_a_stack_match_each_matrix_bit_for_bit():
+    for rows, cols in [(10, 32), (32, 10), (6, 6), (1, 4)]:
+        stack = magnitude_stack(rows, cols)
+        got = singular_values(stack)
+        assert got.shape == (6, min(rows, cols))
+        for matrix, sv in zip(stack, got):
+            assert np.array_equal(sv, singular_values(matrix))
+        nested = singular_values(stack.reshape(2, 3, rows, cols))
+        assert np.array_equal(nested.reshape(got.shape), got)
+
+
+def test_pow2_scale_of_a_stack_matches_each_matrix():
+    stack = magnitude_stack(5, 3)
+    scales = pow2_scale(stack)
+    assert scales.shape == (6,)
+    assert list(scales) == [pow2_scale(m) for m in stack]
+    assert scales[1] == 1.0 and scales[3] == math.ldexp(1.0, 1023)
+    assert isinstance(pow2_scale(stack[0]), float)
+    assert pow2_scale(np.array([3.0, -5.0])) == 8.0
+
+
+def test_singular_values_input_errors():
+    with pytest.raises(ShapeMismatch):
+        singular_values([1.0, 2.0])
+    with pytest.raises(ShapeMismatch):
+        singular_values(np.zeros((0, 3)))
+    with pytest.raises(ShapeMismatch):
+        singular_values(np.zeros((2, 0, 3)))
+    with pytest.raises(InvalidParameter):
+        singular_values([[1.0, math.nan]])
+    with pytest.raises(InvalidParameter):
+        singular_values([[1.0, math.inf]])
+    with pytest.raises(InvalidParameter):
+        singular_values([[[1.0, 2.0]], [[math.inf, 0.0]]])
 
 
 def test_singular_values_lapack_failure_is_convergence_failure(monkeypatch):

@@ -1,5 +1,7 @@
-"""Collapse metric tests: pinned small-case values, invariances, degeneracy."""
+"""Collapse metric tests: pinned small-case values, invariances, degeneracy,
+and the equivalence of a stacked metric suite to its per-layer calls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +17,11 @@ from oversmooth.errors import (
     ShapeMismatch,
     ZeroMatrix,
 )
-from oversmooth.graph import Graph, barabasi_albert, gcn_dominant_eigenvector
+from oversmooth.experiments import GRID_ROWS
+from oversmooth.graph import Graph, barabasi_albert, constant_unit_vector, gcn_dominant_eigenvector
 from oversmooth.metrics import (
     CANONICAL_METRICS,
+    MetricReport,
     dirichlet_energy,
     effective_rank,
     mad,
@@ -28,6 +32,7 @@ from oversmooth.metrics import (
     projection_energy,
     stable_rank,
 )
+from oversmooth.propagate import PropagationConfig, identity, rollout, uniform_nonneg
 from oversmooth.rng import Xoshiro256pp
 
 
@@ -145,6 +150,18 @@ def test_mad_rows_whose_norm_product_underflows():
     tiny = np.array([[1.0, 1.0], [1e-155, 3e-156], [1e-155, 3e-156]])
     assert mad(tiny, Graph.from_edges(3, [(1, 2)])) == 0.0
     assert metric_suite(tiny, g, np.full(3, 1.0 / math.sqrt(3.0))).mad == mad(tiny, g)
+
+
+def test_mad_tiny_rows_whose_squared_norm_underflows_are_live():
+    # After the prescale by 64, row 1's squared norm underflows to zero; the
+    # row is still nonzero, so both edges count and take the small-norm path.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    x = np.array([[32.0, 32.0], [1.2e-161, 0.0], [1e-155, 3e-156]])
+    want = ((1.0 - 1.0 / math.sqrt(2.0)) + (1.0 - 1.0 / math.sqrt(1.09))) / 2.0
+    assert_allclose(mad(x, g), want, rtol=1e-14)
+    report = metric_suite(x, g, np.full(3, 1.0 / math.sqrt(3.0)))
+    assert report.skipped_mad_edges == 0
+    assert report.mad == mad(x, g)
 
 
 def test_mad_skips_zero_rows():
@@ -314,3 +331,107 @@ def test_rank_bound_tight_when_aligned():
     lhs, rhs = numrank_upper_bound_check(x, u)
     assert lhs == 1.0
     assert rhs == pytest.approx(1.0, abs=1e-25)
+
+
+# Stacked evaluation: metric_suite over an (L, n, w) stack must give, layer
+# by layer, the bits of the call on that layer alone.
+
+
+def bits(report) -> str:
+    # repr round-trips every float exactly and keeps None and -0.0 apart.
+    return repr(dataclasses.astuple(report))
+
+
+def assert_stack_matches_layers(x, g, u):
+    stacked = metric_suite(x, g, u)
+    assert isinstance(stacked, tuple) and len(stacked) == len(x)
+    for layer, (got, matrix) in enumerate(zip(stacked, x)):
+        assert bits(got) == bits(metric_suite(matrix, g, u)), layer
+    return stacked
+
+
+@pytest.mark.parametrize("row", GRID_ROWS, ids=lambda r: r.name)
+def test_stacked_suite_matches_layers_on_every_grid_row(row):
+    g = barabasi_albert(10, 2, seed=31)
+    u = gcn_dominant_eigenvector(g) if row.arch == "gcn" else constant_unit_vector(g.n)
+    config = PropagationConfig(
+        graph=g, width=32, depth=40, arch=row.arch, activation=row.activation,
+        weights=row.weights, seed=32,
+    )
+    features = rollout(config).features
+    for k in (0, 600, -600):
+        assert_stack_matches_layers(np.ldexp(features, k), g, u)
+
+
+def test_stacked_suite_matches_layers_on_a_strided_view():
+    # Many edges per layer, so a sum taken in another order than the
+    # per-layer call's would change last bits; tiny, huge and zero rows send
+    # edges down the small-norm and skipped paths.
+    g = barabasi_albert(60, 3, seed=33)
+    u = gcn_dominant_eigenvector(g)
+    base = Xoshiro256pp(34).fill(24 * 120 * 15, -1.0, 1.0).reshape(24, 120, 15)
+    base[3] *= 1e-160
+    base[5] *= 1e300
+    base[7, 4] = 0.0
+    base[9, :, 1::3] = 0.0
+    x = base[:, ::2, ::3]
+    assert not x.flags.c_contiguous and not x.flags.f_contiguous
+    stacked = assert_stack_matches_layers(x, g, u)
+    assert stacked[7].skipped_mad_edges > 0
+
+
+def test_stacked_suite_zero_layer_gives_markers():
+    g = barabasi_albert(8, 2, seed=35)
+    u = gcn_dominant_eigenvector(g)
+    x = Xoshiro256pp(36).fill(5 * 8 * 3, -1.0, 1.0).reshape(5, 8, 3)
+    x[2] = 0.0
+    stacked = assert_stack_matches_layers(x, g, u)
+    zero = stacked[2]
+    assert zero.e_dir_norm is None and zero.e_proj_norm is None and zero.mad is None
+    assert zero.num_rank is None and zero.stable_rank is None and zero.erank is None
+    assert stacked[1].num_rank is not None and stacked[3].num_rank is not None
+
+
+def test_stacked_suite_on_an_edgeless_graph():
+    g = Graph.from_edges(4, [])
+    x = Xoshiro256pp(37).fill(3 * 4 * 2, 0.1, 1.0).reshape(3, 4, 2)
+    for rep in assert_stack_matches_layers(x, g, constant_unit_vector(4)):
+        assert rep.mad is None and rep.skipped_mad_edges == 0 and rep.e_dir == 0.0
+
+
+def test_one_layer_stack_equals_the_matrix_call():
+    g = barabasi_albert(9, 2, seed=38)
+    u = gcn_dominant_eigenvector(g)
+    x = Xoshiro256pp(39).matrix(9, 4, -1.0, 1.0)
+    single = metric_suite(x, g, u)
+    assert isinstance(single, MetricReport)
+    (stacked,) = metric_suite(x[None], g, u)
+    assert bits(stacked) == bits(single)
+
+
+def test_stacked_suite_on_a_truncated_rollout():
+    g = barabasi_albert(20, 2, seed=40)
+    config = PropagationConfig(
+        graph=g, width=8, depth=400, activation=identity(), weights=uniform_nonneg(3.0),
+        seed=41,
+    )
+    trace = rollout(config)
+    assert trace.truncated_at is not None
+    assert len(trace.features) == trace.truncated_at
+    reports = assert_stack_matches_layers(trace.features, g, gcn_dominant_eigenvector(g))
+    assert math.isinf(reports[-1].e_dir)
+
+
+def test_stacked_suite_checks_its_input():
+    g = edge2()
+    u = np.full(2, 1.0 / math.sqrt(2.0))
+    with pytest.raises(ShapeMismatch):
+        metric_suite(np.ones((1, 1, 2, 3)), g, u)
+    with pytest.raises(ShapeMismatch):
+        metric_suite(np.ones((4, 3, 2)), g, u)
+    with pytest.raises(ShapeMismatch):
+        metric_suite(np.ones((0, 2, 3)), g, u)
+    bad = np.ones((4, 2, 3))
+    bad[2, 1, 0] = math.nan
+    with pytest.raises(InvalidParameter):
+        metric_suite(bad, g, u)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import propagate
 from oversmooth.errors import InvalidParameter, ShapeMismatch
 from oversmooth.graph import Graph, barabasi_albert, sym_norm_adjacency
 from oversmooth.propagate import (
@@ -324,6 +325,33 @@ def test_rollout_truncates_on_overflow():
     assert trace.truncated_at == 1
     assert len(trace.features) == 1
     assert len(trace.reports) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e301])
+def test_rollout_truncates_at_the_same_layer_for_nan_inf_and_overflow(bad, monkeypatch):
+    real_layer = propagate.gcn_layer
+    calls = []
+
+    def layer(*args):
+        out = real_layer(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            out[1, 0] = bad
+        return out
+
+    monkeypatch.setattr(propagate, "gcn_layer", layer)
+    config = PropagationConfig(graph=barabasi_albert(6, 2, seed=12), width=3, depth=6, seed=2)
+    trace = rollout(config)
+    assert trace.truncated_at == 3
+    assert len(trace.features) == 3
+    assert np.all(np.isfinite(trace.features))
+
+
+def test_rollout_features_are_one_stack():
+    g = barabasi_albert(6, 2, seed=13)
+    trace = rollout(PropagationConfig(graph=g, width=3, depth=4, seed=3))
+    assert trace.features.shape == (5, 6, 3)
+    assert trace.features.flags.c_contiguous
 
 
 def test_rollout_hook_runs_on_every_recorded_state():
