@@ -6,6 +6,11 @@ A Graph on vertices ``0..n-1`` is its sorted, read-only ``intp`` edge arrays
 view derives from them. The `.grf` text format round-trips graphs: a header
 ``grf 1 <n> <num_edges>``, then one ``i j`` line per edge.
 
+``barabasi_albert`` runs a C copy of its attachment loop ``_attach_python``,
+built like the uniform fill of ``rng`` and used only if it draws the same
+edges on probe graphs; otherwise the loop runs, after one RuntimeWarning
+naming the cause.
+
 Propagation runs on closed neighbourhoods (each vertex plus its neighbours),
 stored once per graph in CSR order; ``sym_norm_adjacency`` returns a
 ``CsrOperator`` over them, whose ``@`` costs O(m) per column and whose dense
@@ -14,14 +19,16 @@ copy is ``np.asarray(op)``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
+from ._native import NoKernel, load_function, warn_fallback
 from .errors import DisconnectedGraph, InvalidParameter, ParseError, ShapeMismatch
-from .rng import Xoshiro256pp
+from .rng import _C_FLAGS, _C_XOSHIRO, Xoshiro256pp
 from .validation import body_tokens, parse_header, read_text, require_positive_int, write_lines
 
 
@@ -136,9 +143,19 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
     n, m = require_positive_int(n, "n", 2), require_positive_int(m, "m")
     if m >= n:
         raise InvalidParameter(f"m must satisfy 1 <= m < n, got m={m}, n={n}")
-    rng = Xoshiro256pp(seed)
-    heads = [i for i in range(m + 1) for _ in range(i + 1, m + 1)]
-    tails = [j for i in range(m + 1) for j in range(i + 1, m + 1)]
+    seed_heads = [i for i in range(m + 1) for _ in range(i + 1, m + 1)]
+    seed_tails = [j for i in range(m + 1) for j in range(i + 1, m + 1)]
+    heads, tails = _attach_loop()(Xoshiro256pp(seed), n, m)
+    return _sorted_graph(n, np.concatenate([seed_heads, heads]),
+                         np.concatenate([seed_tails, tails]))
+
+
+def _attach_python(rng: Xoshiro256pp, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``(heads, tails)`` that vertices ``m + 1 .. n - 1`` attach,
+    each arrival's ``m`` in increasing order of target, drawn from ``rng``:
+    the attachment kernel's specification."""
+    heads: list[int] = []
+    tails: list[int] = []
     # Fenwick tree over the integer degrees: tree[k] holds the degree sum of
     # vertices k - (k & -k) .. k - 1, so prefix sums and updates are O(log n).
     tree = [0] * (n + 1)
@@ -172,7 +189,96 @@ def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
             add_degree(j, 1)
         add_degree(t, m)
         total += 2 * m
-    return _sorted_graph(n, heads, tails)
+    return np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
+
+
+# The loop of ``_attach_python`` in C. Each arrival keeps its targets sorted
+# in its own slice of ``heads`` (insertion), so a duplicate is found where it
+# would be inserted and redrawn. ``tree`` is n + 1 zeros on entry.
+_BA_SOURCE = _C_XOSHIRO + r"""
+static void add_degree(int64_t *tree, int64_t n, int64_t v, int64_t delta) {
+    for (int64_t k = v + 1; k <= n; k += k & -k)
+        tree[k] += delta;
+}
+void ba_attach(uint64_t *state, int64_t n, int64_t m, int64_t *tree, int64_t *heads,
+               int64_t *tails) {
+    uint64_t s[4] = {state[0], state[1], state[2], state[3]};
+    int64_t top = 1, total = m * (m + 1);
+    while (top <= n / 2)
+        top *= 2;
+    for (int64_t v = 0; v <= m; v++)
+        add_degree(tree, n, v, m);
+    for (int64_t t = m + 1; t < n; t++, heads += m, tails += m, total += 2 * m) {
+        int64_t count = 0;
+        while (count < m) {
+            int64_t slot = (int64_t)(xoshiro_random(s) * (double)total), target = 0;
+            for (int64_t step = top; step; step >>= 1) {
+                if (target + step <= n && tree[target + step] <= slot) {
+                    target += step;
+                    slot -= tree[target];
+                }
+            }
+            if (target > t - 1)
+                target = t - 1;
+            int64_t k = count;
+            while (k > 0 && heads[k - 1] > target)
+                k--;
+            if (k > 0 && heads[k - 1] == target)
+                continue;
+            for (int64_t i = count; i > k; i--)
+                heads[i] = heads[i - 1];
+            heads[k] = target;
+            count++;
+        }
+        for (int64_t i = 0; i < m; i++) {
+            tails[i] = t;
+            add_degree(tree, n, heads[i], 1);
+        }
+        add_degree(tree, n, t, m);
+    }
+    for (int k = 0; k < 4; k++)
+        state[k] = s[k];
+}
+"""
+# A single arrival, the m = 1 case, and n = 70, m = 4, whose 276 draws
+# include 16 duplicate redraws and whose descents start at step 2^6.
+_BA_PROBES = ((5, 3, 1), (40, 1, 2), (70, 4, 3))
+
+
+def _load_attach_kernel():
+    """The C attachment loop, built and checked; raises NoKernel naming why
+    it is unusable."""
+    proto = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64,
+                             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    fn = load_function("ba_attach", _BA_SOURCE, _C_FLAGS, proto)
+
+    def attach_c(rng: Xoshiro256pp, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        state = (ctypes.c_uint64 * 4)(*rng._s)
+        heads, tails = np.empty((2, (n - m - 1) * m), dtype=np.int64)
+        tree = np.zeros(n + 1, dtype=np.int64)
+        fn(state, n, m, tree.ctypes.data, heads.ctypes.data, tails.ctypes.data)
+        rng._s = state[:]
+        return heads, tails
+
+    for n, m, seed in _BA_PROBES:
+        want_rng, got_rng = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        want, got = _attach_python(want_rng, n, m), attach_c(got_rng, n, m)
+        if (want_rng._s != got_rng._s
+                or any(w.tobytes() != g.tobytes() for w, g in zip(want, got))):
+            raise NoKernel("self-check mismatch: the C attachment differs from the Python loop")
+    return attach_c
+
+
+@cache
+def _attach_loop():
+    """This process's attachment loop: the C kernel, else ``_attach_python``
+    with a warning."""
+    try:
+        return _load_attach_kernel()
+    except NoKernel as exc:
+        warn_fallback(f"preferential-attachment C kernel unavailable ({exc}); "
+                      "attaching at Python speed", __file__)
+        return _attach_python
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +306,18 @@ class CsrOperator:
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ShapeMismatch(f"operator is {self.shape[0]}x{self.shape[1]}, operand has "
                                 f"shape {x.shape}")
-        gathered = x[self.indices]
-        weights = self.data if x.ndim == 1 else self.data[:, None]
-        return np.add.reduceat(weights * gathered, self.indptr[:-1], axis=0)
+        # One contiguous row of terms per column of x, each summed segment by
+        # segment into a column of the C-ordered result. reduceat adds every
+        # segment as a0 + pairwise(rest) along whatever stride it has, so the
+        # bits are those of the row-major data[:, None] * x[indices] form.
+        terms = x.T.take(self.indices, axis=-1)
+        if terms.dtype == self.data.dtype:
+            terms *= self.data
+        else:
+            terms = terms * self.data
+        out = np.empty(x.shape, terms.dtype)
+        np.add.reduceat(terms, self.indptr[:-1], axis=-1, out=out.T)
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:

@@ -267,6 +267,9 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
             a = fixed_a
         residual = (features[0], w_res) if config.use_residual else None
         x_next = gcn_layer(a, x, w, config.activation, bias, residual)
+        # Released here, so that the next layer's n x n attention is not
+        # built while this one is still alive.
+        del a
         # NaN fails the comparison and inf exceeds the limit: one reduction.
         if not np.max(np.abs(x_next)) <= OVERFLOW_LIMIT:
             truncated_at = layer + 1

@@ -22,20 +22,28 @@ from .errors import InvalidParameter
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
-# The loop of ``_fill_python`` in C. -ffp-contract=off keeps low + span*u
-# two roundings (no FMA); -ffast-math or -march=native could change them.
-_C_SOURCE = r"""
+# xoshiro256++ in C, spliced into every kernel that draws: ``xoshiro_random``
+# is one ``random()`` draw from the state ``s[4]``. Kernels are built with
+# ``_C_FLAGS``: -ffp-contract=off keeps every a + b * c two roundings (no
+# FMA); -ffast-math or -march=native could change them.
+_C_XOSHIRO = r"""
 #include <stdint.h>
 #define ROTL(x, k) (((x) << (k)) | ((x) >> (64 - (k))))
-void xoshiro_fill(uint64_t *s, double *out, int64_t count, double low, double span) {
-    uint64_t s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
-    for (int64_t i = 0; i < count; i++) {
-        uint64_t word = ROTL(s0 + s3, 23) + s0, t = s1 << 17;
-        s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t;
-        s3 = ROTL(s3, 45);
-        out[i] = low + span * ((double)(word >> 11) * 0x1.0p-53);
-    }
-    s[0] = s0; s[1] = s1; s[2] = s2; s[3] = s3;
+static inline double xoshiro_random(uint64_t *s) {
+    uint64_t word = ROTL(s[0] + s[3], 23) + s[0], t = s[1] << 17;
+    s[2] ^= s[0]; s[3] ^= s[1]; s[1] ^= s[2]; s[0] ^= s[3]; s[2] ^= t;
+    s[3] = ROTL(s[3], 45);
+    return (double)(word >> 11) * 0x1.0p-53;
+}
+"""
+# The loop of ``_fill_python`` in C.
+_C_SOURCE = _C_XOSHIRO + r"""
+void xoshiro_fill(uint64_t *state, double *out, int64_t count, double low, double span) {
+    uint64_t s[4] = {state[0], state[1], state[2], state[3]};
+    for (int64_t i = 0; i < count; i++)
+        out[i] = low + span * xoshiro_random(s);
+    for (int k = 0; k < 4; k++)
+        state[k] = s[k];
 }
 """
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")

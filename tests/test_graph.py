@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import graph as graph_module
 from oversmooth.errors import (
     DisconnectedGraph,
     InvalidParameter,
@@ -26,6 +29,9 @@ from oversmooth.graph import (
     sym_norm_adjacency,
     write_grf,
 )
+from oversmooth.rng import Xoshiro256pp
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def path3() -> Graph:
@@ -137,6 +143,75 @@ def test_preferential_attachment_edges_are_pinned(n, m):
     assert g.num_edges == m * (m + 1) // 2 + m * (n - m - 1)
 
 
+@pytest.fixture
+def fresh_attach(tmp_path, monkeypatch):
+    """An empty per-user cache, and an attachment loop chosen afresh on first use."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    graph_module._attach_loop.cache_clear()
+    yield
+    graph_module._attach_loop.cache_clear()
+
+
+@needs_cc
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_c_attachment_equals_python_loop(m, fresh_attach):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        attach = graph_module._attach_loop()
+    assert attach is not graph_module._attach_python
+    for n in sorted({2, m + 1, 50, 2000, 10**4} - set(range(m + 1))):
+        for seed in (0, 42, (1 << 64) - 1):
+            want_rng, got_rng = Xoshiro256pp(seed), Xoshiro256pp(seed)
+            want = graph_module._attach_python(want_rng, n, m)
+            got = attach(got_rng, n, m)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, m, seed)
+            assert got_rng._s == want_rng._s
+
+
+def break_attach_source(monkeypatch, old, new):
+    assert old in graph_module._BA_SOURCE
+    monkeypatch.setattr(graph_module, "_BA_SOURCE", graph_module._BA_SOURCE.replace(old, new))
+
+
+def garbage_attach_library(monkeypatch, tmp_path):
+    # Built elsewhere first: the dynamic loader would match a path this
+    # process has loaded before by name and never read it again.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "elsewhere"))
+    graph_module._attach_loop()
+    graph_module._attach_loop.cache_clear()
+    (built,) = (tmp_path / "elsewhere" / "oversmooth").glob("ba_attach-*.so")
+    cache = tmp_path / "cache" / "oversmooth"
+    cache.mkdir(mode=0o700, parents=True)
+    (cache / built.name).write_bytes(b"not a shared library")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+ATTACH_FALLBACKS = {
+    "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
+    "unwritable cache": lambda mp, tmp: (tmp / "cache").write_text("a file, not a directory"),
+    "compile error": lambda mp, tmp: break_attach_source(mp, "void ba_attach(", "no C here ("),
+    "load error": garbage_attach_library,
+    "self-check mismatch": lambda mp, tmp: break_attach_source(
+        mp, "add_degree(tree, n, t, m);", "add_degree(tree, n, t, m + 1);"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("cause", sorted(ATTACH_FALLBACKS))
+def test_unusable_attachment_kernel_falls_back_with_one_warning(cause, fresh_attach, tmp_path,
+                                                                 monkeypatch):
+    ATTACH_FALLBACKS[cause](monkeypatch, tmp_path)
+    with pytest.warns(RuntimeWarning) as record:
+        graphs = [barabasi_albert(n, m, seed=0) for n, m in ((2000, 2), (2000, 5))]
+    assert len(record) == 1
+    assert cause in str(record[0].message)
+    assert record[0].filename == __file__
+    assert graph_module._attach_loop() is graph_module._attach_python
+    for g, key in zip(graphs, ((2000, 2), (2000, 5))):
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in g.edge_arrays)).hexdigest()
+        assert digest == BA_EDGE_SHA256[key]
+
+
 def test_preferential_attachment_validation():
     with pytest.raises(InvalidParameter):
         barabasi_albert(1, 1)
@@ -240,6 +315,51 @@ def test_sym_norm_operator_rejects_mismatched_operands():
     for bad in (np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2)), 1.0):
         with pytest.raises(ShapeMismatch):
             a @ bad
+
+
+def row_major_product(op: CsrOperator, x) -> np.ndarray:
+    """Reference: the row-major product ``CsrOperator.@`` replaced, summing
+    the weighted rows ``x[indices]`` of each segment with ``axis=0``."""
+    x = np.asarray(x)
+    weights = op.data if x.ndim == 1 else op.data[:, None]
+    return np.add.reduceat(weights * x[op.indices], op.indptr[:-1], axis=0)
+
+
+def segment_classes() -> Graph:
+    """Closed neighbourhoods of 1 vertex (isolated), 2 to 8, 9 to 128 and
+    over 128 (a hub with 300 leaves)."""
+    edges = [(0, j) for j in range(1, 301)]
+    edges += [(301, j) for j in range(302, 362)]
+    edges += [(362 + i, 362 + j) for i in range(7) for j in range(i + 1, 7)]
+    return Graph.from_edges(370, edges)
+
+
+PRODUCT_OPERANDS = {
+    "2-D": lambda rng, n: rng.standard_normal((n, 32)),
+    "1-D": lambda rng, n: rng.standard_normal(n),
+    "Fortran": lambda rng, n: np.asfortranarray(rng.standard_normal((n, 5))),
+    "strided": lambda rng, n: rng.standard_normal((2 * n, 12))[::2, ::3],
+    "width 1": lambda rng, n: rng.standard_normal((n, 1)),
+    "negative zero rows": lambda rng, n: np.where(np.arange(n)[:, None] % 3 == 0, -0.0,
+                                                  rng.standard_normal((n, 4))),
+    "all negative zero": lambda rng, n: np.full((n, 3), -0.0),
+    "subnormal": lambda rng, n: rng.standard_normal((n, 6)) * 1e-310,
+}
+
+
+@pytest.mark.parametrize("operand", sorted(PRODUCT_OPERANDS))
+@pytest.mark.parametrize("name", ["segment classes", "ba2000"])
+def test_csr_product_is_bit_identical_to_row_major_form(name, operand):
+    g = segment_classes() if name == "segment classes" else barabasi_albert(2000, 2, seed=1)
+    a = sym_norm_adjacency(g)
+    lengths = np.diff(a.indptr)
+    if name == "segment classes":
+        assert {1, 7, 61, 301} <= set(lengths.tolist())
+    x = PRODUCT_OPERANDS[operand](np.random.default_rng(21), g.n)
+    got, want = a @ x, row_major_product(a, x)
+    assert got.shape == want.shape == x.shape
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))

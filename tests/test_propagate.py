@@ -1,6 +1,7 @@
 """Message-passing simulator tests: layer maps, attention, draw order."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -345,6 +346,23 @@ def test_rollout_truncates_at_the_same_layer_for_nan_inf_and_overflow(bad, monke
     assert trace.truncated_at == 3
     assert len(trace.features) == 3
     assert np.all(np.isfinite(trace.features))
+
+
+def test_rollout_releases_each_attention_before_building_the_next(monkeypatch):
+    real_attention = propagate.gat_attention
+    built = []
+
+    def attention(*args):
+        assert all(ref() is None for ref in built), "an earlier attention is still alive"
+        out = real_attention(*args)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(propagate, "gat_attention", attention)
+    g = barabasi_albert(20, 2, seed=14)
+    rollout(PropagationConfig(graph=g, width=3, depth=4, arch="gat", activation=tanh(),
+                              weights=uniform_nonneg(0.5), seed=5))
+    assert len(built) == 4
 
 
 def test_rollout_features_are_one_stack():

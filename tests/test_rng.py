@@ -259,7 +259,7 @@ FALLBACKS = {
     "compile error": lambda mp, tmp: break_source(mp, "#include <stdint.h>", "no C here"),
     "timed out": lambda mp, tmp: mp.setattr(_native, "_COMPILE_TIMEOUT_S", 1e-6),
     "load error": garbage_library,
-    "self-check mismatch": lambda mp, tmp: break_source(mp, "ROTL(s3, 45)", "ROTL(s3, 44)"),
+    "self-check mismatch": lambda mp, tmp: break_source(mp, "ROTL(s[3], 45)", "ROTL(s[3], 44)"),
 }
 
 
