@@ -162,6 +162,7 @@ class SynthConfig:
             raise InvalidParameter(f"unknown grid rows: {unknown}")
         for name in ("n", "m", "width", "depth", "seeds"):
             require_positive_int(getattr(self, name), name)
+        require_positive_int(self.base_seed, "base_seed", None)
         if self.depth + 1 < MIN_SERIES_LENGTH:
             raise InvalidParameter(
                 f"depth must give at least {MIN_SERIES_LENGTH} layers"

@@ -7,9 +7,9 @@ view derives from them. The `.grf` text format round-trips graphs: a header
 ``grf 1 <n> <num_edges>``, then one ``i j`` line per edge.
 
 ``barabasi_albert`` runs a C copy of its attachment loop ``_attach_python``,
-built like the uniform fill of ``rng`` and used only if it draws the same
-edges on probe graphs; otherwise the loop runs, after one RuntimeWarning
-naming the cause.
+built and chosen by ``_native`` and used only if it draws the same edges on
+probe graphs; otherwise the loop runs, after one RuntimeWarning naming the
+cause.
 
 Propagation runs on closed neighbourhoods (each vertex plus its neighbours),
 stored once per graph in CSR order; ``sym_norm_adjacency`` returns a
@@ -22,13 +22,13 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from ._native import NoKernel, load_function, warn_fallback
+from ._native import NoKernel, kernel, load_function
 from .errors import DisconnectedGraph, InvalidParameter, ParseError, ShapeMismatch
-from .rng import _C_FLAGS, _C_XOSHIRO, Xoshiro256pp
+from .rng import _C_XOSHIRO, Xoshiro256pp
 from .validation import body_tokens, parse_header, read_text, require_positive_int, write_lines
 
 
@@ -245,12 +245,12 @@ void ba_attach(uint64_t *state, int64_t n, int64_t m, int64_t *tree, int64_t *he
 _BA_PROBES = ((5, 3, 1), (40, 1, 2), (70, 4, 3))
 
 
-def _load_attach_kernel():
-    """The C attachment loop, built and checked; raises NoKernel naming why
-    it is unusable."""
+@kernel("preferential-attachment", _attach_python)
+def _attach_loop():
+    """The C attachment loop, built and checked against ``_attach_python``."""
     proto = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    fn = load_function("ba_attach", _BA_SOURCE, _C_FLAGS, proto)
+    fn = load_function("ba_attach", _BA_SOURCE, proto)
 
     def attach_c(rng: Xoshiro256pp, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         state = (ctypes.c_uint64 * 4)(*rng._s)
@@ -267,18 +267,6 @@ def _load_attach_kernel():
                 or any(w.tobytes() != g.tobytes() for w, g in zip(want, got))):
             raise NoKernel("self-check mismatch: the C attachment differs from the Python loop")
     return attach_c
-
-
-@cache
-def _attach_loop():
-    """This process's attachment loop: the C kernel, else ``_attach_python``
-    with a warning."""
-    try:
-        return _load_attach_kernel()
-    except NoKernel as exc:
-        warn_fallback(f"preferential-attachment C kernel unavailable ({exc}); "
-                      "attaching at Python speed", __file__)
-        return _attach_python
 
 
 @dataclass(frozen=True, eq=False)

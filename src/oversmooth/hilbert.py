@@ -80,8 +80,8 @@ def contraction_ratio(
     if np.any(a < 0.0):
         raise InvalidParameter("matrix must be entrywise nonnegative")
     u = _check_cone(as_vector(u, "u", a.shape[0]), "u")
-    if not radius_cap > 0.0:
-        raise InvalidParameter(f"radius_cap must be > 0, got {radius_cap}")
+    if not (radius_cap > 0.0 and math.isfinite(radius_cap)):
+        raise InvalidParameter(f"radius_cap must be finite and > 0, got {radius_cap}")
     require_positive_int(samples, "samples")
     w = a @ u
     lam = float(u @ w) / float(u @ u)
@@ -121,8 +121,8 @@ def activation_eigenvector_check(activation, u, t_values) -> bool:
     unit = u / math.sqrt(float(u @ u))
     for t in t_values:
         t = float(t)
-        if t == 0.0:
-            raise InvalidParameter("t values must be nonzero")
+        if t == 0.0 or not math.isfinite(t):
+            raise InvalidParameter(f"t values must be finite and nonzero, got {t}")
         y = activation.apply(t * u)
         ny = math.sqrt(float(y @ y))
         if ny == 0.0:

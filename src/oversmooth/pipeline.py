@@ -15,7 +15,6 @@ values at the final layer and the accuracies.
 from __future__ import annotations
 
 import ctypes
-import functools
 import itertools
 import json
 import math
@@ -24,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._native import NoKernel, load_function, warn_fallback
+from ._native import NoKernel, kernel, load_function
 from .errors import (
     DegenerateInput,
     InsufficientRuns,
@@ -152,7 +151,6 @@ int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_
     }
 }
 """
-_DMAT_FLAGS = ("-O2", "-fPIC", "-shared")
 # Odd but valid spellings, blank and space-only lines, leading and trailing
 # spaces, no final newline, and values that stress rounding, subnormals and
 # underflow among them: what the kernel must parse exactly as ``_load_dmat``
@@ -164,11 +162,13 @@ _DMAT_PROBE = (
 )
 
 
-def _load_dmat_kernel():
-    """The C body walk, built and checked; raises NoKernel naming why it is unusable."""
+@kernel(".dmat parser", None)
+def _dmat_kernel():
+    """The C body walk, built and checked against ``_load_dmat``; its
+    fallback None leaves every file to ``_load_dmat``."""
     proto = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    fn = load_function("dmat_parse", _DMAT_SOURCE, _DMAT_FLAGS, proto)
+    fn = load_function("dmat_parse", _DMAT_SOURCE, proto)
 
     def parse_c(data: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
         # Tokens are one byte or more, each after the first behind a
@@ -186,16 +186,6 @@ def _load_dmat_kernel():
     return parse_c
 
 
-@functools.cache
-def _dmat_kernel():
-    """This process's C body walk, or None (after one warning) when unusable."""
-    try:
-        return _load_dmat_kernel()
-    except NoKernel as exc:
-        warn_fallback(f".dmat C parser unavailable ({exc}); parsing at Python speed", __file__)
-        return None
-
-
 def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
     """The matrix of ``data`` when the C kernel vouches for its body; None
     leaves the file, whatever is wrong with it, to ``_load_dmat``."""
@@ -210,8 +200,8 @@ def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
         rows, cols = parse_header(head.decode("ascii"), "dmat 1 <rows> <cols>", (1, 1))
     except ParseError:
         return None
-    kernel = _dmat_kernel()
-    return None if kernel is None else kernel(data, newline + 1, rows, cols)
+    parse = _dmat_kernel()
+    return None if parse is None else parse(data, newline + 1, rows, cols)
 
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:

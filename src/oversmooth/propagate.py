@@ -137,6 +137,7 @@ class PropagationConfig:
             raise InvalidParameter(f"arch must be 'gcn' or 'gat', got {self.arch!r}")
         require_positive_int(self.depth, "depth")
         require_positive_int(self.width, "width")
+        require_positive_int(self.seed, "seed", None)
         Activation("leaky_relu", self.gat_leaky_alpha)  # checks the attention slope
         if self.init is not None:
             x0 = as_matrix(self.init, "init features")

@@ -4,28 +4,26 @@ Both generators are ports of the public-domain reference implementations by
 Blackman and Vigna, written with plain Python integers masked to 64 bits so
 every platform produces the identical stream. Floats in [0, 1) are formed
 from the top 53 bits of each 64-bit word. ``fill`` runs a C copy of its
-Python loop, built by ``cc`` into ``$XDG_CACHE_HOME/oversmooth`` (default
-``~/.cache/oversmooth``) and used only if it matches the loop bit for bit;
-otherwise the loop runs, after one RuntimeWarning naming the cause.
+Python loop, built and chosen by ``_native`` and used only if it matches the
+loop bit for bit; otherwise the loop runs, after one RuntimeWarning naming
+the cause.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 
 import numpy as np
 
-from ._native import NoKernel, load_function, warn_fallback
+from ._native import NoKernel, kernel, load_function
 from .errors import InvalidParameter
+from .validation import require_positive_int
 
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
 # xoshiro256++ in C, spliced into every kernel that draws: ``xoshiro_random``
-# is one ``random()`` draw from the state ``s[4]``. Kernels are built with
-# ``_C_FLAGS``: -ffp-contract=off keeps every a + b * c two roundings (no
-# FMA); -ffast-math or -march=native could change them.
+# is one ``random()`` draw from the state ``s[4]``.
 _C_XOSHIRO = r"""
 #include <stdint.h>
 #define ROTL(x, k) (((x) << (k)) | ((x) >> (64 - (k))))
@@ -46,12 +44,13 @@ void xoshiro_fill(uint64_t *state, double *out, int64_t count, double low, doubl
         state[k] = s[k];
 }
 """
-_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of a splitmix64 stream started at ``seed``."""
-    state = seed & _MASK64
+    """First ``count`` outputs of a splitmix64 stream started at ``seed``,
+    any Python or numpy integer, taken by its exact value modulo 2**64."""
+    state = require_positive_int(seed, "seed", None) & _MASK64
+    count = require_positive_int(count, "count", 0)
     out = []
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -67,8 +66,7 @@ def subseed(master: int, index: int) -> int:
     Defined as output word ``index`` (0-based) of the splitmix64 stream
     seeded with ``master``. Nest calls to build seed trees.
     """
-    if index < 0:
-        raise InvalidParameter(f"subseed index must be >= 0, got {index}")
+    index = require_positive_int(index, "subseed index", 0)
     return splitmix64_stream(master, index + 1)[index]
 
 
@@ -110,8 +108,7 @@ class Xoshiro256pp:
         """Array of ``count`` uniforms in [low, high), in stream order: entry
         i is ``low + (high - low) * u_i`` for the i-th ``random()`` draw u_i,
         bit for bit in the C kernel and in ``_fill_python``."""
-        if count < 0:
-            raise InvalidParameter(f"fill count must be >= 0, got {count}")
+        count = require_positive_int(count, "fill count", 0)
         if not high > low:
             raise InvalidParameter(f"fill needs high > low, got [{low}, {high})")
         out = np.empty(count, dtype=np.float64)
@@ -132,11 +129,12 @@ def _fill_python(s: list[int], out: np.ndarray, low: float, span: float) -> list
     return gen._s
 
 
-def _load_kernel():
-    """The C fill, built and checked; raises NoKernel naming why it is unusable."""
+@kernel("xoshiro256++ fill", _fill_python)
+def _fill_loop():
+    """The C fill, built and checked against ``_fill_python``."""
     proto = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_uint64), ctypes.c_void_p,
                              ctypes.c_int64, ctypes.c_double, ctypes.c_double)
-    fn = load_function("xoshiro_fill", _C_SOURCE, _C_FLAGS, proto)
+    fn = load_function("xoshiro_fill", _C_SOURCE, proto)
 
     def fill_c(s: list[int], out: np.ndarray, low: float, span: float) -> list[int]:
         state = (ctypes.c_uint64 * 4)(*s)
@@ -149,13 +147,3 @@ def _load_kernel():
             or got.tobytes() != want.tobytes()):
         raise NoKernel("self-check mismatch: the C fill differs from the Python loop")
     return fill_c
-
-
-@functools.cache
-def _fill_loop():
-    """This process's fill loop: the C kernel, else ``_fill_python`` with a warning."""
-    try:
-        return _load_kernel()
-    except NoKernel as exc:
-        warn_fallback(f"xoshiro256++ C fill unavailable ({exc}); filling at Python speed", __file__)
-        return _fill_python

@@ -55,11 +55,12 @@ def as_square_matrix(obj, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_positive_int(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int when it is an integer (not a bool) >= ``minimum``."""
+def require_positive_int(value, name: str, minimum: int | None = 1) -> int:
+    """``value`` as an int of the same value when it is a Python or numpy
+    integer (not a bool) >= ``minimum``; a ``minimum`` of None admits any."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 

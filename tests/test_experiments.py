@@ -140,6 +140,18 @@ def test_synth_config_validation():
     for bad in ({"seeds": 2.5}, {"n": 10.0}, {"width": True}, {"m": 0}, {"depth": 300.0}):
         with pytest.raises(InvalidParameter):
             SynthConfig(**bad)
+    for base_seed in (1.5, "17", None, False):
+        with pytest.raises(InvalidParameter, match="base_seed"):
+            SynthConfig(base_seed=base_seed)
+
+
+def test_non_integer_seeds_are_invalid_parameters():
+    g = barabasi_albert(8, 2, seed=0)
+    calls = (lambda: toy_scenarios(1.5), lambda: rate_check(g, width=4, depth=30, seed=1.5),
+             lambda: rate_check_matrix(np.full((2, 2), 0.5), width=2, depth=30, seed=1.5))
+    for call in calls:
+        with pytest.raises(InvalidParameter, match="seed"):
+            call()
 
 
 def test_run_grid_cell_is_reproducible():

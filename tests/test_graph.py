@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import shutil
 import warnings
 
 import numpy as np
@@ -31,7 +30,6 @@ from oversmooth.graph import (
 )
 from oversmooth.rng import Xoshiro256pp
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def path3() -> Graph:
@@ -143,18 +141,9 @@ def test_preferential_attachment_edges_are_pinned(n, m):
     assert g.num_edges == m * (m + 1) // 2 + m * (n - m - 1)
 
 
-@pytest.fixture
-def fresh_attach(tmp_path, monkeypatch):
-    """An empty per-user cache, and an attachment loop chosen afresh on first use."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    graph_module._attach_loop.cache_clear()
-    yield
-    graph_module._attach_loop.cache_clear()
-
-
-@needs_cc
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("m", [1, 2, 5])
-def test_c_attachment_equals_python_loop(m, fresh_attach):
+def test_c_attachment_equals_python_loop(m, fresh_kernels):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         attach = graph_module._attach_loop()
@@ -168,39 +157,9 @@ def test_c_attachment_equals_python_loop(m, fresh_attach):
             assert got_rng._s == want_rng._s
 
 
-def break_attach_source(monkeypatch, old, new):
-    assert old in graph_module._BA_SOURCE
-    monkeypatch.setattr(graph_module, "_BA_SOURCE", graph_module._BA_SOURCE.replace(old, new))
-
-
-def garbage_attach_library(monkeypatch, tmp_path):
-    # Built elsewhere first: the dynamic loader would match a path this
-    # process has loaded before by name and never read it again.
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "elsewhere"))
-    graph_module._attach_loop()
-    graph_module._attach_loop.cache_clear()
-    (built,) = (tmp_path / "elsewhere" / "oversmooth").glob("ba_attach-*.so")
-    cache = tmp_path / "cache" / "oversmooth"
-    cache.mkdir(mode=0o700, parents=True)
-    (cache / built.name).write_bytes(b"not a shared library")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-
-
-ATTACH_FALLBACKS = {
-    "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
-    "unwritable cache": lambda mp, tmp: (tmp / "cache").write_text("a file, not a directory"),
-    "compile error": lambda mp, tmp: break_attach_source(mp, "void ba_attach(", "no C here ("),
-    "load error": garbage_attach_library,
-    "self-check mismatch": lambda mp, tmp: break_attach_source(
-        mp, "add_degree(tree, n, t, m);", "add_degree(tree, n, t, m + 1);"),
-}
-
-
-@needs_cc
-@pytest.mark.parametrize("cause", sorted(ATTACH_FALLBACKS))
-def test_unusable_attachment_kernel_falls_back_with_one_warning(cause, fresh_attach, tmp_path,
-                                                                 monkeypatch):
-    ATTACH_FALLBACKS[cause](monkeypatch, tmp_path)
+@pytest.mark.needs_cc
+def test_unusable_attachment_kernel_falls_back_with_one_warning(unusable_kernel):
+    cause = unusable_kernel("attach")
     with pytest.warns(RuntimeWarning) as record:
         graphs = [barabasi_albert(n, m, seed=0) for n, m in ((2000, 2), (2000, 5))]
     assert len(record) == 1
@@ -219,6 +178,9 @@ def test_preferential_attachment_validation():
         barabasi_albert(5, 0)
     with pytest.raises(InvalidParameter):
         barabasi_albert(5, 5)
+    for seed in (1.5, "0", None, True):
+        with pytest.raises(InvalidParameter, match="seed"):
+            barabasi_albert(6, 2, seed)
 
 
 def test_sym_norm_single_edge():

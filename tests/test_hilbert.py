@@ -110,6 +110,11 @@ def test_contraction_ratio_parameter_validation():
     a = np.eye(2)
     with pytest.raises(InvalidParameter):
         contraction_ratio(a, [1.0, 1.0], radius_cap=0.0)
+    for cap in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="radius_cap"):
+            contraction_ratio(a, [1.0, 1.0], radius_cap=cap)
+    with pytest.raises(InvalidParameter, match="seed"):
+        contraction_ratio(a, [1.0, 1.0], samples=10, seed=1.5)
     for samples in (0, 2.5, True):
         with pytest.raises(InvalidParameter):
             contraction_ratio(a, [1.0, 1.0], samples=samples)
@@ -132,3 +137,11 @@ def test_activation_line_checks():
 def test_activation_line_check_rejects_zero_t():
     with pytest.raises(InvalidParameter):
         activation_eigenvector_check(tanh(), np.ones(2), [1.0, 0.0])
+
+
+def test_activation_line_check_rejects_non_finite_t():
+    # Every comparison with NaN is false, so a NaN t would pass the line test.
+    assert not activation_eigenvector_check(tanh(), [1.0, 2.0, 3.0], [1.0])
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter, match="finite"):
+            activation_eigenvector_check(tanh(), [1.0, 2.0, 3.0], [t])

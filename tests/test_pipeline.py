@@ -3,7 +3,6 @@
 import decimal
 import json
 import math
-import shutil
 
 import numpy as np
 import pytest
@@ -42,8 +41,6 @@ from oversmooth.pipeline import (
     write_report,
 )
 from oversmooth.rng import Xoshiro256pp
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def test_format_float_round_trips():
@@ -217,7 +214,7 @@ def equivalence_cases() -> dict:
     return cases
 
 
-@needs_cc
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("name", sorted(equivalence_cases()))
 def test_dmat_kernel_matches_python_reader(name, tmp_path):
     data = equivalence_cases()[name]
@@ -308,36 +305,19 @@ def test_dmat_header_counts_reserve_nothing_before_the_body(tmp_path, monkeypatc
     assert max(requested, default=0) < 1000
 
 
-@pytest.fixture
-def fresh_dmat_kernel(tmp_path, monkeypatch):
-    """An empty per-user cache, and a `.dmat` kernel chosen afresh on first use."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    pipeline._dmat_kernel.cache_clear()
-    yield
-    pipeline._dmat_kernel.cache_clear()
-
-
-DMAT_FALLBACKS = {
-    "no C compiler": lambda mp, tmp: mp.setenv("PATH", str(tmp)),
-    "self-check mismatch": lambda mp, tmp: mp.setattr(
-        pipeline, "_DMAT_SOURCE", pipeline._DMAT_SOURCE.replace("= value;", "= -value;")),
-}
-
-
-@needs_cc
-@pytest.mark.parametrize("cause", sorted(DMAT_FALLBACKS))
-def test_unusable_dmat_kernel_falls_back_with_one_warning(cause, fresh_dmat_kernel, tmp_path,
-                                                          monkeypatch):
+@pytest.mark.needs_cc
+def test_unusable_dmat_kernel_falls_back_with_one_warning(unusable_kernel, tmp_path):
     files = [tmp_path / "a.dmat", tmp_path / "b.dmat"]
     mats = [np.array([[0.1, -2.5], [1e300, 7.0]]), np.arange(12.0).reshape(4, 3) / 3.0]
     for path, m in zip(files, mats):
         write_matrix(m, path)
-    DMAT_FALLBACKS[cause](monkeypatch, tmp_path)
+    cause = unusable_kernel("dmat")
     with pytest.warns(RuntimeWarning) as record:
         loaded = [load_matrix(path) for path in files]
     assert len(record) == 1
     assert cause in str(record[0].message)
     assert record[0].filename == __file__
+    assert pipeline._dmat_kernel() is None
     for got, m in zip(loaded, mats):
         assert got.tobytes() == m.tobytes()
 

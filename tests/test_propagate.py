@@ -228,6 +228,19 @@ def test_config_validation():
         PropagationConfig(graph=g, width=2, depth=1, gat_leaky_alpha=1.5)
     with pytest.raises(ShapeMismatch):
         PropagationConfig(graph=g, width=2, depth=1, init=np.ones((3, 2)))
+    for seed in (2.5, "1", None, True):
+        with pytest.raises(InvalidParameter, match="seed"):
+            PropagationConfig(graph=g, width=2, depth=1, seed=seed)
+
+
+def test_numpy_integer_seed_rolls_out_as_the_equal_int():
+    g = barabasi_albert(12, 2, seed=np.int64(4))
+    assert [a.tobytes() for a in g.edge_arrays] == [
+        a.tobytes() for a in barabasi_albert(12, 2, seed=4).edge_arrays]
+    traces = [rollout(PropagationConfig(graph=g, width=3, depth=4, weights=uniform_signed(),
+                                        seed=seed)).features
+              for seed in (np.uint64((1 << 64) - 2), (1 << 64) - 2)]
+    assert traces[0].tobytes() == traces[1].tobytes()
 
 
 def test_rollout_is_deterministic():
