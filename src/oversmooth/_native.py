@@ -11,6 +11,10 @@ specification and raises ``NoKernel`` naming why it is unusable. ``kernel``
 turns that loader into this process's cached choice: the wrapped kernel, or
 on ``NoKernel`` the fallback, after one RuntimeWarning naming the kernel and
 the cause. ``cache_clear()`` on the choice makes the next call choose afresh.
+
+The kernels are the xoshiro256++ fill (``rng``), the preferential-attachment
+loop and the ``CsrOperator`` product (``graph``) and the ``.dmat`` parser
+(``pipeline``). Each is built on its first use, never at import.
 """
 
 from __future__ import annotations

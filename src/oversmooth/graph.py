@@ -14,7 +14,10 @@ cause.
 Propagation runs on closed neighbourhoods (each vertex plus its neighbours),
 stored once per graph in CSR order; ``sym_norm_adjacency`` returns a
 ``CsrOperator`` over them, whose ``@`` costs O(m) per column and whose dense
-copy is ``np.asarray(op)``.
+copy is ``np.asarray(op)``. Its specification ``_csr_reduceat`` sums with
+``np.add.reduceat``; float64 products run a C copy of it that sums in the
+same order, used only if it matches bit for bit on probe rows of every
+summation class, with the same fallback as the attachment loop.
 """
 
 from __future__ import annotations
@@ -88,6 +91,23 @@ class Graph:
             arr.setflags(write=False)
         return rows, indptr, cols
 
+    @cached_property
+    def _connected(self) -> bool:
+        """Whether a walk from vertex 0 over the closed neighbourhoods reaches
+        every vertex: ``is_connected``, walked once per graph."""
+        _, indptr, cols = self.closed_csr
+        indptr, cols = indptr.tolist(), cols.tolist()
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in cols[indptr[v]:indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
+
 
 def _first_fault(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, str] | None:
     """The edge rules, in order: no self-loop, ``heads[k] < tails[k]``, both
@@ -119,18 +139,7 @@ def _sorted_graph(n: int, heads, tails) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    _, indptr, cols = g.closed_csr
-    indptr, cols = indptr.tolist(), cols.tolist()
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in cols[indptr[v]:indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    return g._connected
 
 
 def barabasi_albert(n: int, m: int = 2, seed: int = 0) -> Graph:
@@ -275,8 +284,8 @@ class CsrOperator:
     is ``data[k]``, and row ``i`` spans ``indptr[i]:indptr[i + 1]``. Every
     row must be nonempty, as closed neighbourhoods are.
 
-    ``op @ x`` sums ``data * x[indices]`` row by row for a 1-D or 2-D ``x``;
-    ``np.asarray(op)`` is the dense copy.
+    ``op @ x`` sums ``data * x[indices]`` row by row for a 1-D or 2-D ``x``,
+    with the bits of ``_csr_reduceat``; ``np.asarray(op)`` is the dense copy.
     """
 
     rows: np.ndarray
@@ -294,18 +303,31 @@ class CsrOperator:
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ShapeMismatch(f"operator is {self.shape[0]}x{self.shape[1]}, operand has "
                                 f"shape {x.shape}")
-        # One contiguous row of terms per column of x, each summed segment by
-        # segment into a column of the C-ordered result. reduceat adds every
-        # segment as a0 + pairwise(rest) along whatever stride it has, so the
-        # bits are those of the row-major data[:, None] * x[indices] form.
-        terms = x.T.take(self.indices, axis=-1)
-        if terms.dtype == self.data.dtype:
-            terms *= self.data
-        else:
-            terms = terms * self.data
-        out = np.empty(x.shape, terms.dtype)
-        np.add.reduceat(terms, self.indptr[:-1], axis=-1, out=out.T)
-        return out
+        # Float64 products on a well-formed operator run in C, when this
+        # process has the kernel; the rest run the specification.
+        if x.dtype == np.float64 and self._addresses is not None:
+            product = _csr_kernel()
+            if product is not None:
+                return product(self._addresses, np.ascontiguousarray(x))
+        return _csr_reduceat(self, x)
+
+    @cached_property
+    def _addresses(self) -> tuple[int, int, int, int] | None:
+        """``(n, indptr, indices, data)`` as the C product takes them, the
+        arrays by address, checked once: None unless ``data`` is float64 and
+        the index arrays are read-only ``intp`` forming nonempty rows of
+        in-range columns, the only operators the kernel runs on."""
+        n = self.shape[0]
+        indptr, indices, data = self.indptr, self.indices, self.data
+        arrays = (indptr, indices, data)
+        if not (indptr.dtype == indices.dtype == np.intp and data.dtype == np.float64
+                and not (indptr.flags.writeable or indices.flags.writeable)
+                and all(a.ndim == 1 and a.flags.c_contiguous for a in arrays)
+                and indptr[0] == 0 and indptr[-1] == indices.shape[0] == data.shape[0]
+                and np.all(indptr[1:] > indptr[:-1])
+                and (n == 0 or 0 <= indices.min() and indices.max() < n)):
+            return None
+        return n, *(a.ctypes.data for a in arrays)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -313,6 +335,111 @@ class CsrOperator:
         a = np.zeros(self.shape)
         a[self.rows, self.indices] = self.data
         return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _csr_reduceat(op: CsrOperator, x: np.ndarray) -> np.ndarray:
+    """``op @ x``, C-ordered: the product's specification, which the C kernel
+    matches bit for bit.
+
+    One contiguous row of terms ``x * data`` per column of ``x``, each summed
+    segment by segment into a column of the result. reduceat adds every
+    segment as ``t0 + pairwise(t1..)`` along whatever stride it has, so the
+    bits are those of the row-major ``data[:, None] * x[indices]`` form.
+    """
+    terms = x.T.take(op.indices, axis=-1)
+    if terms.dtype == op.data.dtype:
+        terms *= op.data
+    else:
+        terms = terms * op.data
+    out = np.empty(x.shape, terms.dtype)
+    np.add.reduceat(terms, op.indptr[:-1], axis=-1, out=out.T)
+    return out
+
+
+# ``_csr_reduceat`` in C, for float64 operands. Row i of the result is
+# t0 + pairwise(t1..) over its terms t = x[indices[k]] * data[k], each one
+# rounding, where pairwise is numpy's: fewer than 8 terms summed in order
+# from -0.0; up to 128 in 8 accumulators, combined as
+# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; more split at
+# n/2 - (n/2 mod 8). Short rows go across all w columns at once, long rows
+# column by column. Nothing but ``out`` is written.
+_CSR_SOURCE = r"""
+#include <stdint.h>
+/* numpy's pairwise sum of n >= 8 terms; its halves hold 64 or more. */
+static double pairwise(const intptr_t *idx, const double *d, const double *x, int64_t w,
+                       int64_t n) {
+    if (n <= 128) {
+        double r[8];
+        int64_t k;
+        for (int j = 0; j < 8; j++)
+            r[j] = x[idx[j] * w] * d[j];
+        for (k = 8; k < n - n % 8; k += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += x[idx[k + j] * w] * d[k + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; k < n; k++)
+            res += x[idx[k] * w] * d[k];
+        return res;
+    }
+    int64_t half = n / 2 - (n / 2) % 8;
+    return pairwise(idx, d, x, w, half) + pairwise(idx + half, d + half, x, w, n - half);
+}
+void csr_matmul(int64_t n, const intptr_t *indptr, const intptr_t *indices, const double *data,
+                int64_t w, const double *x, double *out) {
+    for (int64_t i = 0; i < n; i++, out += w) {
+        const intptr_t *idx = indices + indptr[i];
+        const double *d = data + indptr[i], *x0 = x + idx[0] * w;
+        int64_t rest = indptr[i + 1] - indptr[i] - 1;
+        if (rest < 8) {
+            for (int64_t c = 0; c < w; c++)
+                out[c] = -0.0;
+            for (int64_t k = 1; k <= rest; k++) {
+                const double *xk = x + idx[k] * w;
+                for (int64_t c = 0; c < w; c++)
+                    out[c] += xk[c] * d[k];
+            }
+            for (int64_t c = 0; c < w; c++)
+                out[c] = x0[c] * d[0] + out[c];
+        } else {
+            for (int64_t c = 0; c < w; c++)
+                out[c] = x0[c] * d[0] + pairwise(idx + 1, d + 1, x + c, w, rest);
+        }
+    }
+}
+"""
+# Rows of every summation class, 619 terms in all, on a 10-column operator;
+# the self-check runs them on widths 1 and 3, one column all -0.0.
+_CSR_PROBE_ROWS = (1, 2, 7, 8, 9, 16, 17, 129, 130, 300)
+
+
+@kernel("CSR product", None)
+def _csr_kernel():
+    """The C product, built and checked against ``_csr_reduceat``; its
+    fallback None leaves every product to ``_csr_reduceat``."""
+    proto = ctypes.CFUNCTYPE(None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    fn = load_function("csr_matmul", _CSR_SOURCE, proto)
+
+    def product_c(addresses: tuple[int, int, int, int], x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape)
+        fn(*addresses, 1 if x.ndim == 1 else x.shape[1], x.ctypes.data, out.ctypes.data)
+        return out
+
+    n = len(_CSR_PROBE_ROWS)
+    indptr = np.concatenate([[0], np.cumsum(_CSR_PROBE_ROWS)]).astype(np.intp)
+    terms = np.arange(indptr[-1])
+    indices = terms * 7 % n
+    for arr in (indptr, indices):
+        arr.setflags(write=False)
+    op = CsrOperator(np.repeat(np.arange(n), _CSR_PROBE_ROWS), indptr, indices,
+                     np.sin(terms * 1.7) * 3.0 ** (terms % 5))
+    x = np.cos(np.arange(3 * n) * 0.9).reshape(n, 3)
+    x[:, 1] = -0.0
+    for operand in (x, x[:, 0]):
+        operand = np.ascontiguousarray(operand)
+        if product_c(op._addresses, operand).tobytes() != _csr_reduceat(op, operand).tobytes():
+            raise NoKernel("self-check mismatch: the C product differs from np.add.reduceat")
+    return product_c
 
 
 def sym_norm_adjacency(g: Graph) -> CsrOperator:

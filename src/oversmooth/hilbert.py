@@ -10,6 +10,7 @@ positive eigenvector by sampling log-space perturbations.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -74,7 +75,8 @@ def contraction_ratio(
     within ``radius_cap`` of zero; scaling the raw draw instead would let
     a near-degenerate spread push ``exp`` out of float range. Samples
     landing closer than 1e-12 to ``u`` are skipped; AllSamplesDegenerate
-    is raised if none survive.
+    is raised if none survive. A cap so large that ``exp`` of it, scaled by
+    ``u`` and ``a``, could overflow is rejected with the largest usable one.
     """
     a = as_square_matrix(a, "matrix")
     if np.any(a < 0.0):
@@ -89,6 +91,13 @@ def contraction_ratio(
         raise EigenvectorMismatch(f"fixed direction has eigenvalue {lam} <= 0")
     if float(np.max(np.abs(w - lam * u))) > 1e-10 * lam * float(np.max(u)):
         raise EigenvectorMismatch("u is not fixed by the matrix to 1e-10")
+    # A sample x = u * exp(z), 0 <= z <= radius_cap, has x <= e^cap u, a x <= e^cap w
+    # and (a x) / u <= e^cap w / u: all finite, with a factor 2 to spare, up to this cap.
+    scale = max(1.0, float(np.max(u)), float(np.max(w)), float(np.max(w / u)))
+    limit = math.log(sys.float_info.max / 2.0) - math.log(scale)
+    if radius_cap > limit:
+        raise InvalidParameter(f"radius_cap must be at most {limit:.6g} for this matrix and u, "
+                               f"past which a sample overflows; got {radius_cap}")
     rng = Xoshiro256pp(seed)
     n = u.shape[0]
     worst = 0.0

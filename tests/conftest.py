@@ -78,6 +78,8 @@ KERNELS = {
                      ("add_degree(tree, n, t, m);", "add_degree(tree, n, t, m + 1);")),
     "dmat": Kernel(pipeline, "_dmat_kernel", "_DMAT_SOURCE", ("#include <math.h>", "no C here"),
                    ("= value;", "= -value;")),
+    "csr": Kernel(graph, "_csr_kernel", "_CSR_SOURCE", ("void csr_matmul(", "no C here ("),
+                  ("out[c] = -0.0;", "out[c] = 0.0;")),
 }
 
 

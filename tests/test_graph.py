@@ -88,6 +88,35 @@ def test_degree_and_neighbor_views():
     assert np.array_equal(ej, [1, 2])
 
 
+def reachable_from_zero(g: Graph) -> set[int]:
+    """Reference: the vertices a breadth-first walk from vertex 0 reaches."""
+    nbrs = neighbor_lists(g)
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [w for v in frontier for w in nbrs[v] if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+CONNECTIVITY_GRAPHS = {
+    "disconnected": lambda: Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+    "edgeless n=3": lambda: Graph.from_edges(3, []),
+    "single vertex": lambda: Graph.from_edges(1, []),
+    "ba300": lambda: barabasi_albert(300, 2, seed=6),
+    "ba plus isolated": lambda: Graph.from_edges(
+        31, barabasi_albert(30, 1, seed=2).edges),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_GRAPHS))
+def test_connectivity_is_cached_on_the_graph(name):
+    g = CONNECTIVITY_GRAPHS[name]()
+    want = len(reachable_from_zero(g)) == g.n
+    assert is_connected(g) is want
+    assert vars(g)["_connected"] is want
+    assert is_connected(g) is want
+
+
 def test_is_connected():
     assert is_connected(path3())
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
@@ -322,6 +351,84 @@ def test_csr_product_is_bit_identical_to_row_major_form(name, operand):
     assert got.shape == want.shape == x.shape
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n, [(0, j) for j in range(1, n)])
+
+
+EQUIVALENCE_GRAPHS = {
+    **{f"ba{n}": (lambda n=n: barabasi_albert(n, 1, seed=0)) for n in (3, 10, 2000, 20000)},
+    "star3000": lambda: star(3000),
+}
+EQUIVALENCE_OPERANDS = {
+    "1-D": lambda rng, n: rng.standard_normal(n),
+    **{f"width {w}": (lambda rng, n, w=w: rng.standard_normal((n, w))) for w in (0, 1, 7, 32)},
+    "Fortran": lambda rng, n: np.asfortranarray(rng.standard_normal((n, 5))),
+    "strided": lambda rng, n: rng.standard_normal((2 * n, 12))[::2, ::3],
+    "negative zero": lambda rng, n: np.where(rng.random((n, 4)) < 0.5, -0.0,
+                                             rng.standard_normal((n, 4))),
+    "near 1e300": lambda rng, n: rng.uniform(0.5, 1.0, (n, 3)) * 1e300,
+}
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("operand", sorted(EQUIVALENCE_OPERANDS))
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_GRAPHS))
+def test_c_product_equals_reduceat_specification(name, operand):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graph_module._csr_kernel() is not None
+    a = sym_norm_adjacency(EQUIVALENCE_GRAPHS[name]())
+    if name in ("ba20000", "star3000"):  # rows long enough to split the pairwise sum
+        assert np.diff(a.indptr).max() > 128
+    x = EQUIVALENCE_OPERANDS[operand](np.random.default_rng(5), a.shape[0])
+    # The specification warns when a sum overflows to inf; the C product does not.
+    with np.errstate(over="ignore"):
+        got, want = a @ x, graph_module._csr_reduceat(a, x)
+    assert got.shape == want.shape == x.shape
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_products_the_kernel_does_not_run_go_to_the_specification(monkeypatch):
+    calls = []
+
+    def spy(op, x):
+        calls.append(x.dtype)
+        return reduceat(op, x)
+
+    reduceat = graph_module._csr_reduceat
+    monkeypatch.setattr(graph_module, "_csr_reduceat", spy)
+    a = sym_norm_adjacency(barabasi_albert(50, 2, seed=1))
+    narrow = CsrOperator(a.rows, *(v.astype(np.int32) for v in (a.indptr, a.indices)), a.data)
+    writable = CsrOperator(a.rows, a.indptr.copy(), a.indices.copy(), a.data)
+    x = np.random.default_rng(3).standard_normal((50, 4))
+    for op, operand in ((a, x.astype(np.float32)), (a, np.arange(50)), (a, x + 1j),
+                        (narrow, x), (narrow, x[:, 0]), (writable, x)):
+        calls.clear()
+        got = op @ operand
+        assert len(calls) == 1
+        assert got.tobytes() == reduceat(op, operand).tobytes()
+    if graph_module._csr_kernel() is not None:
+        calls.clear()
+        a @ x
+        assert calls == []
+
+
+@pytest.mark.needs_cc
+def test_unusable_csr_kernel_falls_back_with_one_warning(unusable_kernel):
+    cause = unusable_kernel("csr")
+    a = sym_norm_adjacency(segment_classes())
+    operands = [np.random.default_rng(8).standard_normal(shape) for shape in ((370, 32), 370)]
+    with pytest.warns(RuntimeWarning) as record:
+        products = [a @ x for x in operands]
+    assert len(record) == 1
+    assert cause in str(record[0].message)
+    assert record[0].filename == __file__
+    assert graph_module._csr_kernel() is None
+    for got, x in zip(products, operands):
+        assert got.tobytes() == graph_module._csr_reduceat(a, x).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))

@@ -120,6 +120,16 @@ def test_contraction_ratio_parameter_validation():
             contraction_ratio(a, [1.0, 1.0], samples=samples)
 
 
+def test_contraction_ratio_rejects_caps_that_overflow_a_sample():
+    a = np.array([[0.6, 0.4], [0.3, 0.7]])
+    # The limit is log(max float / 2) = 709.09, less log(1e150) for u at 1e150.
+    for u, usable, limit in (([1.0, 1.0], 709.0, "709.09"), ([1e150, 1e150], 363.0, "363.702")):
+        ratio = contraction_ratio(a, u, radius_cap=usable, samples=50, seed=1)
+        assert 0.0 < ratio < 1.0
+        with pytest.raises(InvalidParameter, match=f"radius_cap must be at most {limit} "):
+            contraction_ratio(a, u, radius_cap=1000.0, samples=50)
+
+
 def test_contraction_ratio_all_samples_degenerate():
     with pytest.raises(AllSamplesDegenerate):
         contraction_ratio(np.eye(2), [1.0, 1.0], radius_cap=1e-13, samples=20)
