@@ -85,12 +85,15 @@ def contraction_ratio(
     if not (radius_cap > 0.0 and math.isfinite(radius_cap)):
         raise InvalidParameter(f"radius_cap must be finite and > 0, got {radius_cap}")
     require_positive_int(samples, "samples")
-    w = a @ u
-    lam = float(u @ w) / float(u @ u)
+    # The Rayleigh quotient of u / max(u): u @ u itself overflows past 1e154.
+    v = u / float(np.max(u))
+    av = a @ v
+    lam = float(v @ av) / float(v @ v)
     if lam <= 0.0:
         raise EigenvectorMismatch(f"fixed direction has eigenvalue {lam} <= 0")
-    if float(np.max(np.abs(w - lam * u))) > 1e-10 * lam * float(np.max(u)):
+    if float(np.max(np.abs(av - lam * v))) > 1e-10 * lam:
         raise EigenvectorMismatch("u is not fixed by the matrix to 1e-10")
+    w = a @ u
     # A sample x = u * exp(z), 0 <= z <= radius_cap, has x <= e^cap u, a x <= e^cap w
     # and (a x) / u <= e^cap w / u: all finite, with a factor 2 to spare, up to this cap.
     scale = max(1.0, float(np.max(u)), float(np.max(w)), float(np.max(w / u)))

@@ -114,18 +114,91 @@ def _load_csv(lines: list[str]) -> np.ndarray:
 
 # The body walk of ``_load_dmat`` in C, for the files it can vouch for: lines
 # ended by '\n' (blank ones skipped), exactly ``rows`` lines of ``cols``
-# space-separated tokens, each a run of ``0123456789+-.eE`` that strtod reads
-# whole to a finite value. On those characters C's decimal grammar is
-# float()'s and both round correctly, so the values are float()'s bit for
-# bit, subnormals and underflow to zero included. Anything else (tabs, '\r',
-# nan, hex, overflow, a wrong count, a locale whose decimal point is not '.')
-# returns 0 and is left to the Python reader. ``buf`` is a bytes object, so
-# buf[len] is a NUL.
+# space-separated tokens, each read whole to a finite value. A plain token,
+# [+-]digits[.digits][(e|E)[+-]digits] with at most 19 significant digits and
+# ended by ' ', '\n' or the end, is w * 10^q with w < 2^64; Eisel-Lemire
+# (Lemire, "Number parsing at a gigabyte per second", 2021) rounds it from one
+# product of the normalized w and a 128-bit power of five, and a second one
+# when the low 9 bits of the first are all ones. Every other token, and each
+# case Eisel-Lemire leaves open (a product still ambiguous after the second
+# one, a possible exact halfway case outside q in [-4, 23], q outside
+# [-342, 308], a subnormal or overflowing result), goes to strtod, which must
+# read a run of ``0123456789+-.eE`` whole. On those characters C's decimal
+# grammar is float()'s and all three conversions round correctly, so the
+# values are float()'s bit for bit, subnormals and underflow to zero included.
+# Anything else (tabs, '\r', nan, hex, overflow, a wrong count, a locale whose
+# decimal point is not '.' on a token left to strtod) returns 0 and is left to
+# the Python reader. ``buf`` is a bytes object, so buf[len] is a NUL.
+# ``POW5_TABLE`` is replaced by ``_pow5_table()`` when the kernel is built.
+# __uint128_t and __builtin_clzll are GCC/Clang extensions: another compiler
+# fails the build, and the Python reader takes every file.
 _DMAT_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+static const uint64_t pow5[651][2] = {POW5_TABLE};
+
+/* w * 10^q, w != 0 and -342 <= q <= 308, rounded to nearest even into *value;
+   0 where Eisel-Lemire cannot settle it. */
+static int eisel_lemire(uint64_t w, int64_t q, int neg, double *value) {
+    int lz = __builtin_clzll(w);
+    w <<= lz;
+    const uint64_t *t = pow5[q + 342];
+    __uint128_t first = (__uint128_t)w * t[0];
+    uint64_t hi = first >> 64, lo = (uint64_t)first;
+    if ((hi & 0x1FF) == 0x1FF) {
+        uint64_t more = ((__uint128_t)w * t[1]) >> 64;
+        lo += more;
+        hi += lo < more;
+        if ((hi & 0x1FF) == 0x1FF && lo == UINT64_MAX) return 0;
+    }
+    int upper = hi >> 63, shift = upper + 9;
+    uint64_t mant = hi >> shift;
+    int64_t power2 = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (power2 <= 0) return 0;
+    if (lo <= 1 && (mant & 3) == 1 && mant << shift == hi) {
+        if (q < -4 || q > 23) return 0;
+        mant &= ~(uint64_t)1;
+    }
+    mant = (mant + (mant & 1)) >> 1;
+    if (mant >> 53) {
+        mant = (uint64_t)1 << 52;
+        power2++;
+    }
+    if (power2 >= 0x7FF) return 0;
+    uint64_t bits = (uint64_t)neg << 63 | (uint64_t)power2 << 52 | (mant & (((uint64_t)1 << 52) - 1));
+    memcpy(value, &bits, sizeof bits);
+    return 1;
+}
+
+/* The end of the plain token at p, with its value in *value; NULL for any
+   other token and wherever eisel_lemire returns 0. */
+static const char *plain_token(const char *p, const char *end, double *value) {
+    int neg = *p == '-';
+    int64_t digits = 0, sig = 0, q = 0, e = 0;
+    uint64_t w = 0;
+    p += *p == '-' || *p == '+';
+    for (; *p >= '0' && *p <= '9'; p++, digits++)
+        if ((w || *p != '0') && ++sig <= 19) w = 10 * w + (uint64_t)(*p - '0');
+    if (*p == '.')
+        for (p++; *p >= '0' && *p <= '9'; p++, digits++, q--)
+            if ((w || *p != '0') && ++sig <= 19) w = 10 * w + (uint64_t)(*p - '0');
+    if (!digits || sig > 19) return NULL;
+    if (*p == 'e' || *p == 'E') {
+        int eneg = *++p == '-';
+        p += *p == '-' || *p == '+';
+        if (*p < '0' || *p > '9') return NULL;
+        for (; *p >= '0' && *p <= '9'; p++)
+            if (e < 100000) e = 10 * e + (*p - '0');
+        q += eneg ? -e : e;
+    }
+    if (p != end && *p != ' ' && *p != '\n') return NULL;
+    if (!w) *value = neg ? -0.0 : 0.0;
+    else if (q < -342 || q > 308 || !eisel_lemire(w, q, neg, value)) return NULL;
+    return p;
+}
+
 int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_t cols,
                double *out) {
     const char *p = buf + start, *end = buf + len;
@@ -143,21 +216,51 @@ int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_
         }
         if (*p == ' ') { p++; continue; }
         if (row == rows || col == cols) return 0;
-        char *stop;
-        double value = strtod(p, &stop);
-        p += strspn(p, "0123456789+-.eE");
-        if (stop != p || !isfinite(value) || (p != end && *p != ' ' && *p != '\n')) return 0;
+        double value;
+        const char *next = plain_token(p, end, &value);
+        if (next) {
+            p = next;
+        } else {
+            char *stop;
+            value = strtod(p, &stop);
+            p += strspn(p, "0123456789+-.eE");
+            if (stop != p || !isfinite(value) || (p != end && *p != ' ' && *p != '\n')) return 0;
+        }
         out[row * cols + col++] = value;
     }
 }
 """
+
+
+def _pow5_table() -> str:
+    """The C initializer of ``pow5``: for q = -342..308, 5^q as 128 bits
+    normalized to [2^127, 2^128), as (high, low) 64-bit halves, by
+    fast_float's rule. For q >= 0 it is 5^q truncated; for q < 0 it is
+    floor(2^b / 5^-q) + 1 truncated, with b = z + 127 for q >= -27 (so the
+    ceiling) and b = 2z + 128 below, z the bit length of 5^-q."""
+    rows = []
+    for q in range(-342, 309):
+        if q < 0:
+            z = (5 ** -q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
+        else:
+            c = 5 ** q
+        excess = c.bit_length() - 128
+        c = c >> excess if excess > 0 else c << -excess
+        rows.append(f"{{{c >> 64:#x}u, {c & (1 << 64) - 1:#x}u}}")
+    return ",".join(rows)
+
+
 # Odd but valid spellings, blank and space-only lines, leading and trailing
 # spaces, no final newline, and values that stress rounding, subnormals and
 # underflow among them: what the kernel must parse exactly as ``_load_dmat``
-# before it is used.
+# before it is used. 9007199254740993 and 9007199254740995 are exact ties
+# that round half to even; 13863e34 and -9704e-179 round wrongly without
+# the second product.
 _DMAT_PROBE = (
-    b"dmat 1 4 4\n\n 0.1 -2.5e-3  +1E+300 -0.\n   \n.5 7 9007199254740993 -0\n"
+    b"dmat 1 5 4\n\n 0.1 -2.5e-3  +1E+300 -0.\n   \n.5 7 9007199254740993 -0\n"
     b"5e-324 -2.2250738585072011e-308 2.4703282292062328e-324 -1e-400\n"
+    b"13863e34 -9704e-179 9007199254740995 1e23\n"
     b"2.2250738585072014e-308 123456789012345678901234567890 1.7976931348623157e308 4e-0"
 )
 
@@ -168,7 +271,7 @@ def _dmat_kernel():
     fallback None leaves every file to ``_load_dmat``."""
     proto = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    fn = load_function("dmat_parse", _DMAT_SOURCE, proto)
+    fn = load_function("dmat_parse", _DMAT_SOURCE.replace("POW5_TABLE", _pow5_table()), proto)
 
     def parse_c(data: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
         # Tokens are one byte or more, each after the first behind a

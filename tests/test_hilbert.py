@@ -101,6 +101,17 @@ def test_contraction_ratio_rejects_non_fixed_direction():
         contraction_ratio(a, [2.0, 1.0], samples=10)
 
 
+def test_contraction_ratio_checks_the_direction_at_any_scale():
+    # u @ u overflows for entries past about 1e154; no check may pass on a NaN.
+    a = np.array([[0.6, 0.4], [0.3, 0.7]])
+    for u in ([1.0, 2.0], [1e300, 2e300]):
+        with pytest.raises(EigenvectorMismatch, match="not fixed"):
+            contraction_ratio(a, u, samples=10)
+    assert 0.0 < contraction_ratio(a, [1e300, 1e300], radius_cap=18.0, samples=50) < 1.0
+    with pytest.raises(InvalidParameter, match="radius_cap must be at most 18.3"):
+        contraction_ratio(a, [1e300, 1e300], radius_cap=50.0)
+
+
 def test_contraction_ratio_rejects_negative_entries():
     with pytest.raises(InvalidParameter):
         contraction_ratio([[0.5, -0.5], [0.5, 0.5]], [1.0, 1.0], samples=10)

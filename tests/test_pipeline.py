@@ -178,12 +178,49 @@ def random_subnormals(seed: int, count: int) -> list[float]:
     return [float(v) for v in np.array(words, dtype=np.uint64).view(np.float64)]
 
 
+# Roundings of a decimal to 17, 18 and 19 significant digits, down and up.
+CUTS = [decimal.Context(prec=digits, rounding=rounding)
+        for digits in (17, 18, 19) for rounding in (decimal.ROUND_DOWN, decimal.ROUND_UP)]
+
+
+def midpoint(v: float) -> decimal.Decimal:
+    """The exact decimal midpoint between ``v`` and the next double up."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        return (decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, math.inf)))) / 2
+
+
 def near_halfway(v: float) -> list[str]:
     """The exact decimal midpoint between ``v`` and the next double up, and
     two numbers a relative 1e-60 below and above it."""
+    mid = midpoint(v)
     with decimal.localcontext(decimal.Context(prec=1200)):
-        mid = (decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, math.inf)))) / 2
         return [f"{mid * (1 + k * decimal.Decimal('1e-60')):e}" for k in (0, -1, 1)]
+
+
+def midpoint_cuts(v: float) -> list[str]:
+    """The midpoint above ``v`` cut down and up to 17, 18 and 19 digits."""
+    mid = midpoint(v)
+    return [f"{cut.plus(mid):e}" for cut in CUTS]
+
+
+# Ties between two doubles from 2^53 to 2^64: the midpoint 2^e + 2^(e-53),
+# which rounds down to the even 2^e, and 2^e + 3 * 2^(e-53), which rounds up.
+BIG_INTEGERS = [str(2**e + k * 2 ** (e - 53)) for e in range(53, 64) for k in (1, 3)] + [
+    "9007199254740993", "18014398509481987", "9223372036854775807", "9223372036854775808",
+    "9223372036854776832", "9999999999999999999", "-9999999999999999999",
+    "10000000000000000000", "18446744073709551615", "18446744073709551616",
+    "99999999999999999999", "12345678901234567890", "1234567890123456789.5",
+    "0.12345678901234567890", "9999999999999999999e-30", "9999999999999999999e289",
+]
+# Tokens whose first product has its low 9 bits all ones, found with an
+# exact-integer model of the product; the first six and the last two round
+# wrongly without the second product.
+SECOND_PRODUCT = [
+    "9584316103025e150", "488716962102e40", "8151e-21", "6528278767804221416e-271",
+    "85440075964342255e-1", "60906842253683594e-50", "302e175", "706225e-254", "5e-1",
+    "8482040992598e-44", "43648469206645e-25", "15922e263", "145316033446744179e-271",
+    "4e126", "5514437230321274e278", "484033536238e38", "13863e34", "-9704e-179",
+]
 
 
 def equivalence_cases() -> dict:
@@ -205,6 +242,22 @@ def equivalence_cases() -> dict:
         + ["5e-324", "-5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
            "2.2250738585072011e-308", "-2.2250738585072009e-308", "1e-400", "-1e-400",
            "-2e-99999", "0.000001e-318"],
+        "midpoints cut to 17-19 digits": [tok for v in every_exponent(31)[1:-1:23]
+                                          for tok in midpoint_cuts(v)],
+        "integers from 2^53 to 2^64": BIG_INTEGERS,
+        "20 or more leading zeros": [
+            "0.000000000000000000001", "-0.00000000000000000000012345678901234567",
+            "0.0000000000000000000000000000001234567890123456789",
+            "000000000000000000000000123.5", "0.000000000000000000001e-300",
+            "-0.0000000000000000000009999999999999999999e25", "0.00000000000000000000e99",
+        ],
+        "exponents -343 to 309": [
+            "1e-342", "-12345e-342", "9999999999999999999e-342", "24703282292062328e-340",
+            "1e-343", "9999999999999999999e-343", "9999999999999999999e-326",
+            "-2225073858507201e-323", "1e308", "-1E+308", "17976931348623157e292",
+            "0e309", "-0.0e309",
+        ],
+        "second product": SECOND_PRODUCT,
     }
     cases = {}
     for name, toks in tokens.items():
@@ -229,6 +282,42 @@ def test_dmat_kernel_matches_python_reader(name, tmp_path):
     assert load_matrix(path).tobytes() == want.tobytes()
 
 
+def sweep_tokens(seed: int, count: int) -> list[str]:
+    """``count`` tokens drawn from the package RNG, in equal shares: reprs of
+    random-bit doubles; 1 to 19 random digits, with the decimal point
+    anywhere, times 10^q from 10^-345 up to where the value could reach
+    10^308; and 17- to 19-digit cuts of the midpoint above a random-bit
+    double."""
+    draws = Xoshiro256pp(seed).fill(3 * count).reshape(count, 3)
+    words = ((draws[:, 0] * 2.0**32).astype(np.uint64) << np.uint64(32)) | (
+        (draws[:, 1] * 2.0**32).astype(np.uint64))
+    tokens = []
+    for word, value, u in zip(words.tolist(), words.view(np.float64).tolist(), draws[:, 2]):
+        kind, u = divmod(3.0 * u, 1.0)
+        if kind == 1 or not math.isfinite(value):
+            digits = 1 + word % 19
+            mantissa = str(word % 10**digits)
+            point = (word >> 8) % (len(mantissa) + 1)
+            q = -345 + int(u * (654 - digits))
+            tokens.append(f"{mantissa[:point]}.{mantissa[point:]}e{q + len(mantissa) - point}")
+        elif kind == 0:
+            tokens.append(repr(value))
+        else:
+            tokens.append(f"{CUTS[word % 6].plus(midpoint(abs(value))):e}")
+    return tokens
+
+
+@pytest.mark.needs_cc
+def test_dmat_kernel_matches_python_reader_on_a_seeded_sweep():
+    tokens = sweep_tokens(2026, 200_000)
+    data = dmat_bytes([tokens[i:i + 40] for i in range(0, len(tokens), 40)])
+    want = pipeline._load_dmat(data.decode("ascii").split("\n"))
+    kernel = pipeline._dmat_kernel()
+    assert kernel is not None
+    got = kernel(data, data.index(b"\n") + 1, *want.shape)
+    assert got is not None and got.tobytes() == want.tobytes()
+
+
 def load_outcome(path, fmt=None):
     """What ``load_matrix`` gives: the shape and bytes, or the error and its line."""
     try:
@@ -238,12 +327,13 @@ def load_outcome(path, fmt=None):
     return m.shape, m.tobytes()
 
 
-# 35 odd token spellings: each one either parses as float() does or is refused.
+# 39 odd token spellings: each one either parses as float() does or is refused.
 ODD_SPELLINGS = (
     "1_0", "\t2 ", "4\r", "-Infinity", "1E-320", "\u0661\u0662", "\uff11\uff12", "0x1p3",
     "1d5", "", "inf", "nan", "-nan", "NaN", "+Infinity", "1e400", "-1e400", "1e-400",
     "5e-324", "2.2250738585072011e-308", "0x10", "1e", "1e+", ".", "+.", "-", "e5",
     ".e5", "1.2.3", "++1", "1,5", "1\xa0", "\x0b3", "1f", "0b1",
+    "1e309", "-17976931348623159e292", "1.8e308", "1e-9999999999999999999999",
 )
 
 MALFORMED = {
@@ -320,6 +410,27 @@ def test_unusable_dmat_kernel_falls_back_with_one_warning(unusable_kernel, tmp_p
     assert pipeline._dmat_kernel() is None
     for got, m in zip(loaded, mats):
         assert got.tobytes() == m.tobytes()
+
+
+# Wrong edits to one step of Eisel-Lemire that the kernel's self-check on
+# ``_DMAT_PROBE`` must catch.
+WRONG_FAST_PATHS = {
+    "no round half to even": ("mant &= ~(uint64_t)1;", ""),
+    "table index shifted by one": ("pow5[q + 342]", "pow5[q + 343]"),
+    "never the second product": ("if ((hi & 0x1FF) == 0x1FF) {", "if (0) {"),
+}
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("name", sorted(WRONG_FAST_PATHS))
+def test_dmat_self_check_catches_a_wrong_fast_path(name, fresh_kernels, monkeypatch):
+    old, new = WRONG_FAST_PATHS[name]
+    assert pipeline._DMAT_SOURCE.count(old) == 1
+    monkeypatch.setattr(pipeline, "_DMAT_SOURCE", pipeline._DMAT_SOURCE.replace(old, new))
+    with pytest.warns(RuntimeWarning) as record:
+        assert pipeline._dmat_kernel() is None
+    assert len(record) == 1
+    assert "self-check mismatch" in str(record[0].message)
 
 
 def test_load_vector_accepts_row_or_column(tmp_path):
