@@ -99,7 +99,7 @@ def decay_classify(series, kind: str) -> DecayVerdict:
         raise InvalidParameter(f"kind must be '{ENERGY_KIND}' or '{RANK_KIND}', got {kind!r}")
     window = values[-DECAY_WINDOW:]
     finite = window[np.isfinite(window)]
-    window_min = float(np.min(finite)) if finite.size else float("nan")
+    window_min = float(np.minimum.reduce(finite)) if finite.size else float("nan")
     decayed = bool(finite.size) and window_min <= threshold
     crossed_at = None
     if decayed:

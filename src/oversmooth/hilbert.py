@@ -86,18 +86,22 @@ def contraction_ratio(
         raise InvalidParameter(f"radius_cap must be finite and > 0, got {radius_cap}")
     require_positive_int(samples, "samples")
     # The Rayleigh quotient of u / max(u): u @ u itself overflows past 1e154.
-    v = u / float(np.max(u))
+    u_max = float(np.max(u))
+    v = u / u_max
     av = a @ v
     lam = float(v @ av) / float(v @ v)
     if lam <= 0.0:
         raise EigenvectorMismatch(f"fixed direction has eigenvalue {lam} <= 0")
     if float(np.max(np.abs(av - lam * v))) > 1e-10 * lam:
         raise EigenvectorMismatch("u is not fixed by the matrix to 1e-10")
-    w = a @ u
     # A sample x = u * exp(z), 0 <= z <= radius_cap, has x <= e^cap u, a x <= e^cap w
-    # and (a x) / u <= e^cap w / u: all finite, with a factor 2 to spare, up to this cap.
-    scale = max(1.0, float(np.max(u)), float(np.max(w)), float(np.max(w / u)))
-    limit = math.log(sys.float_info.max / 2.0) - math.log(scale)
+    # and (a x) / u <= e^cap w / u for w = a u: all finite, with a factor 2 to
+    # spare, up to this cap. w itself may overflow, so the logs come from the
+    # scaled v: log max w = log max u + log max av, and w / u = av / v.
+    log_u = math.log(u_max)
+    log_scale = max(0.0, log_u, log_u + math.log(float(np.max(av))),
+                    math.log(float(np.max(av / v))))
+    limit = math.log(sys.float_info.max / 2.0) - log_scale
     if radius_cap > limit:
         raise InvalidParameter(f"radius_cap must be at most {limit:.6g} for this matrix and u, "
                                f"past which a sample overflows; got {radius_cap}")

@@ -138,7 +138,7 @@ def _check_exponent(proj_exponent: int) -> None:
 
 # Element budget of one (layers x max(edges, vertices) x width) temporary:
 # metric_suite evaluates a stack in chunks of as many layers as fit in it.
-_CHUNK_ELEMENTS = 1 << 13
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def _matrix_sums(a: np.ndarray):
@@ -210,7 +210,7 @@ def _mad(xs: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_angle(terms: np.ndarray, live: np.ndarray, kept: int) -> float | None:
     # One layer's MAD: a 1-D sum over its live terms, in edge order.
-    return float(np.sum(terms[live]) / kept) if kept else None
+    return float(np.add.reduce(terms[live]) / kept) if kept else None
 
 
 def _e_proj(xs: np.ndarray, u: np.ndarray):
@@ -237,9 +237,9 @@ def _rank_proxies(sv: np.ndarray, bound: float) -> tuple[float, float, float, fl
     s1 = float(sv[0])
     sv = sv[sv >= SV_NOISE_FLOOR * s1]
     sq = float(sv @ sv)
-    total = float(np.sum(sv))
+    total = float(np.add.reduce(sv))
     p = sv / total
-    entropy = -float(np.sum(p * np.log(p)))
+    entropy = -float(np.add.reduce(p * np.log(p)))
     return (
         min(max(sq / (s1 * s1), 1.0), bound),
         min(max((total * total) / sq, 1.0), bound),

@@ -521,7 +521,7 @@ def _report_cell(value) -> str:
         return "nan"
     if isinstance(value, int):
         return str(value)
-    return format_float(value)
+    return repr(float(value))
 
 
 def _write_table(out_dir, name: str, header, rows) -> str:

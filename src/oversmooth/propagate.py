@@ -8,11 +8,15 @@ features. All randomness flows through one xoshiro256++ stream seeded from
 the config seed, with a pinned draw order: initial features first (row
 major), then per layer the weight matrix, bias, attention vectors, and
 residual matrix, in that order, each only when its feature is enabled.
+Consecutive layers' parameters are drawn by one ``fill`` per block of
+layers; ``fill`` maps each draw alone to its value, so a block holds the
+bits of one fill per parameter.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,10 @@ from .validation import as_matrix, as_square_matrix, as_vector, require_positive
 
 # Feature magnitudes above this truncate a rollout.
 OVERFLOW_LIMIT = 1e300
+
+# Most draws one block of layer parameters holds: 64 KiB of float64, under
+# glibc's initial 128 KiB mmap threshold, so a block comes from the heap.
+_BLOCK_DRAWS = 8192
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class WeightScheme:
 
     ``fresh_per_layer=False`` samples every parameter once at the first
     layer and reuses it afterwards. The uniform kinds need a finite
-    ``scale > 0``.
+    ``scale > 0``, and the signed one a finite width ``2 * scale``.
     """
 
     kind: str
@@ -83,8 +91,13 @@ class WeightScheme:
                 "weight scheme must be 'identity', 'uniform_nonneg' or 'uniform_signed', "
                 f"got {self.kind!r}"
             )
-        if self.kind != "identity" and not 0.0 < self.scale < math.inf:
+        # Compared, not converted: an int beyond the float range is rejected too.
+        if self.kind != "identity" and not 0.0 < self.scale <= sys.float_info.max:
             raise InvalidParameter(f"scale must be finite and > 0, got {self.scale}")
+        if self.kind == "uniform_signed" and not self.scale <= sys.float_info.max / 2.0:
+            raise InvalidParameter(
+                f"signed scale {self.scale} spans a width 2 * scale beyond the float range"
+            )
 
     def sample(self, rng: Xoshiro256pp, rows: int, cols: int) -> np.ndarray:
         if self.kind == "identity":
@@ -231,6 +244,32 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
     return att
 
 
+def _layer_shapes(config: PropagationConfig) -> tuple:
+    # The shape of each layer parameter in draw order (weights, bias, p1,
+    # p2, residual weights), None where disabled.
+    width, gat = config.width, config.arch == "gat"
+    return (
+        (width, width),
+        (width,) if config.use_bias else None,
+        (width,) if gat else None,
+        (width,) if gat else None,
+        (width, width) if config.use_residual else None,
+    )
+
+
+def _slice_layer(block: np.ndarray, start: int, shapes: tuple) -> tuple[list, int]:
+    # One layer's parameters as views of block[start:], and where the next begins.
+    params = []
+    for shape in shapes:
+        if shape is None:
+            params.append(None)
+        else:
+            stop = start + math.prod(shape)
+            params.append(block[start:stop].reshape(shape))
+            start = stop
+    return params, start
+
+
 def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     """Run a configured propagation and record every layer.
 
@@ -250,18 +289,22 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     x = features[0]
     reports = [metric_hook(x)] if metric_hook is not None else None
     fixed_a = sym_norm_adjacency(g) if config.arch == "gcn" else None
-    scheme = config.weights
-    w = bias = p1 = p2 = w_res = None
+    scheme, shapes = config.weights, _layer_shapes(config)
+    if scheme.kind == "identity":
+        # Nothing to draw: identity weights and zero vectors at every layer.
+        params = [None if shape is None else np.eye(shape[0]) if len(shape) == 2
+                  else np.zeros(shape[0]) for shape in shapes]
+    per_layer = sum(math.prod(shape) for shape in shapes if shape is not None)
+    block, start = np.empty(0), 0
     truncated_at = None
     for layer in range(config.depth):
-        if scheme.fresh_per_layer or layer == 0:
-            w = scheme.sample(rng, config.width, config.width)
-            bias = scheme.sample_vector(rng, config.width) if config.use_bias else None
-            if config.arch == "gat":
-                p1 = scheme.sample_vector(rng, config.width)
-                p2 = scheme.sample_vector(rng, config.width)
-            if config.use_residual:
-                w_res = scheme.sample(rng, config.width, config.width)
+        if scheme.kind != "identity" and (scheme.fresh_per_layer or layer == 0):
+            if start == block.size:
+                left = config.depth - layer if scheme.fresh_per_layer else 1
+                layers = min(left, max(1, _BLOCK_DRAWS // per_layer))
+                block, start = scheme.sample_vector(rng, layers * per_layer), 0
+            params, start = _slice_layer(block, start, shapes)
+        w, bias, p1, p2, w_res = params
         if config.arch == "gat":
             a = gat_attention(x, w, p1, p2, g, config.gat_leaky_alpha)
         else:
@@ -272,7 +315,7 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
         # built while this one is still alive.
         del a
         # NaN fails the comparison and inf exceeds the limit: one reduction.
-        if not np.max(np.abs(x_next)) <= OVERFLOW_LIMIT:
+        if not np.maximum.reduce(np.abs(x_next), axis=None) <= OVERFLOW_LIMIT:
             truncated_at = layer + 1
             break
         x = features[layer + 1] = x_next

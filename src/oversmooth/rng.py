@@ -12,6 +12,7 @@ the cause.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -107,12 +108,16 @@ class Xoshiro256pp:
     def fill(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Array of ``count`` uniforms in [low, high), in stream order: entry
         i is ``low + (high - low) * u_i`` for the i-th ``random()`` draw u_i,
-        bit for bit in the C kernel and in ``_fill_python``."""
+        bit for bit in the C kernel and in ``_fill_python``. ``low``, ``high``
+        and the width ``high - low`` must be finite, with ``high > low``."""
         count = require_positive_int(count, "fill count", 0)
-        if not high > low:
-            raise InvalidParameter(f"fill needs high > low, got [{low}, {high})")
+        span = float(high - low)
+        if not (math.isfinite(low) and 0.0 < span < math.inf):
+            raise InvalidParameter(
+                f"fill needs finite bounds high > low with a finite width, got [{low}, {high})"
+            )
         out = np.empty(count, dtype=np.float64)
-        self._s = _fill_loop()(self._s, out, float(low), float(high - low))
+        self._s = _fill_loop()(self._s, out, float(low), span)
         return out
 
     def matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:

@@ -28,7 +28,7 @@ def as_matrix(obj, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise ShapeMismatch(f"{name} must be {shape}, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ShapeMismatch(f"{name} must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InvalidParameter(f"{name} contains non-finite entries")
     return arr
 
@@ -43,7 +43,7 @@ def as_vector(obj, name: str = "vector", length: int | None = None) -> np.ndarra
         raise ShapeMismatch(f"{name} must be nonempty")
     if length is not None and arr.shape[0] != length:
         raise ShapeMismatch(f"{name} has length {arr.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InvalidParameter(f"{name} contains non-finite entries")
     return arr
 

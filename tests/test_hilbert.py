@@ -141,6 +141,14 @@ def test_contraction_ratio_rejects_caps_that_overflow_a_sample():
             contraction_ratio(a, u, radius_cap=1000.0, samples=50)
 
 
+@pytest.mark.filterwarnings("error")
+def test_contraction_ratio_cap_limit_when_a_u_overflows():
+    # a u = 2e308 overflows; the limit is taken in logs, from u / max(u):
+    # log(max float / 2) - log(1e308) - log(2) = -0.79979.
+    with pytest.raises(InvalidParameter, match="radius_cap must be at most -0.79979 "):
+        contraction_ratio([[1.0, 1.0], [1.0, 1.0]], [1e308, 1e308], radius_cap=1.0, samples=5)
+
+
 def test_contraction_ratio_all_samples_degenerate():
     with pytest.raises(AllSamplesDegenerate):
         contraction_ratio(np.eye(2), [1.0, 1.0], radius_cap=1e-13, samples=20)

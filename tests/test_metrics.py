@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oversmooth import metrics
 from oversmooth.errors import (
     AllEdgesSkipped,
     InvalidParameter,
@@ -355,10 +356,13 @@ def test_stacked_suite_matches_layers_on_every_grid_row(row):
     g = barabasi_albert(10, 2, seed=31)
     u = gcn_dominant_eigenvector(g) if row.arch == "gcn" else constant_unit_vector(g.n)
     config = PropagationConfig(
-        graph=g, width=32, depth=40, arch=row.arch, activation=row.activation,
+        graph=g, width=32, depth=100, arch=row.arch, activation=row.activation,
         weights=row.weights, seed=32,
     )
     features = rollout(config).features
+    # More than two chunks of layers, so that chunk boundaries fall inside.
+    chunk = metrics._CHUNK_ELEMENTS // (max(g.edge_arrays[0].shape[0], g.n) * 32)
+    assert len(features) > 2 * chunk
     for k in (0, 600, -600):
         assert_stack_matches_layers(np.ldexp(features, k), g, u)
 

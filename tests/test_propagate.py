@@ -71,6 +71,8 @@ def test_activation_checks_itself_at_construction(kind, alpha):
 @pytest.mark.parametrize("kind, scale", [
     ("uniform-nonneg", 0.1), ("uniform_nonneg", -1.0), ("uniform_signed", 0.0),
     ("uniform_signed", float("nan")), ("uniform_signed", float("inf")),
+    ("uniform_signed", 1e308),  # the width 2 * scale overflows
+    ("uniform_nonneg", 10**400), ("uniform_signed", 10**400),  # beyond the float range
 ])
 def test_weight_scheme_checks_itself_at_construction(kind, scale):
     with pytest.raises(InvalidParameter):
@@ -91,6 +93,9 @@ def test_weight_scheme_sampling():
         uniform_nonneg(0.0)
     with pytest.raises(InvalidParameter):
         uniform_signed(-1.0)
+    # The widest finite spans still draw finite parameters.
+    assert np.all(np.isfinite(uniform_signed(8e307).sample(rng, 4, 4)))
+    assert np.all(np.isfinite(uniform_nonneg(1.7e308).sample(rng, 4, 4)))
 
 
 def test_gcn_layer_averages_single_edge():
@@ -391,3 +396,98 @@ def test_rollout_hook_runs_on_every_recorded_state():
     trace = rollout(config, metric_hook=lambda x: float(np.sum(x * x)))
     assert len(trace.reports) == len(trace.features) == 5
     assert trace.reports[0] == float(np.sum(trace.features[0] ** 2))
+
+
+# Block draws: rollout draws the parameters of several layers with one fill.
+# Replayed with one draw call per parameter, in the pinned order, every
+# layer must come out bit for bit the same.
+
+
+def per_parameter_replay(config: PropagationConfig) -> np.ndarray:
+    g, scheme, width = config.graph, config.weights, config.width
+    rng = Xoshiro256pp(config.seed)
+    x0 = rng.matrix(g.n, width, 0.0, 1.0)
+    states = [x0]
+    x = x0
+    for layer in range(config.depth):
+        if scheme.fresh_per_layer or layer == 0:
+            w = scheme.sample(rng, width, width)
+            bias = scheme.sample_vector(rng, width) if config.use_bias else None
+            if config.arch == "gat":
+                p1 = scheme.sample_vector(rng, width)
+                p2 = scheme.sample_vector(rng, width)
+            if config.use_residual:
+                w_res = scheme.sample(rng, width, width)
+        if config.arch == "gat":
+            a = gat_attention(x, w, p1, p2, g, config.gat_leaky_alpha)
+        else:
+            a = sym_norm_adjacency(g)
+        residual = (x0, w_res) if config.use_residual else None
+        x = gcn_layer(a, x, w, config.activation, bias, residual)
+        if not np.max(np.abs(x)) <= OVERFLOW_LIMIT:
+            break
+        states.append(x)
+    return np.array(states)
+
+
+def layers_per_block(width: int, arch: str, use_bias: bool, use_residual: bool) -> int:
+    draws = width * width * (1 + use_residual) + width * (use_bias + 2 * (arch == "gat"))
+    return max(1, propagate._BLOCK_DRAWS // draws)
+
+
+@pytest.mark.parametrize("scheme", [identity_weights(), uniform_nonneg(0.1),
+                                    uniform_signed(0.2), uniform_signed(0.2, False)],
+                         ids=["identity", "nonneg", "signed", "signed-frozen"])
+@pytest.mark.parametrize("use_residual", [False, True], ids=["no-residual", "residual"])
+@pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("arch", ["gcn", "gat"])
+def test_block_draws_equal_per_parameter_draws(arch, use_bias, use_residual, scheme):
+    g = barabasi_albert(10, 2, seed=51)
+    block = layers_per_block(32, arch, use_bias, use_residual)
+    assert 1 < block < 10
+    for depth in (1, block, block + 1):
+        config = PropagationConfig(
+            graph=g, width=32, depth=depth, arch=arch, activation=tanh(), weights=scheme,
+            seed=52, use_bias=use_bias, use_residual=use_residual,
+        )
+        got = rollout(config).features
+        want = per_parameter_replay(config)
+        assert got.shape == want.shape == (depth + 1, 10, 32)
+        assert got.tobytes() == want.tobytes(), depth
+
+
+def test_block_draws_equal_per_parameter_draws_when_truncated_mid_block():
+    g = barabasi_albert(10, 2, seed=53)
+    block = layers_per_block(32, "gcn", False, False)
+    config = PropagationConfig(graph=g, width=32, depth=60, activation=identity(),
+                               weights=uniform_nonneg(1e9), seed=54)
+    trace = rollout(config)
+    # The overflowing layer is neither the first nor the last of its block.
+    assert trace.truncated_at is not None and (trace.truncated_at - 1) % block not in (0, block - 1)
+    assert trace.features.tobytes() == per_parameter_replay(config).tobytes()
+
+
+@pytest.mark.parametrize("arch, depth, scheme, fills", [
+    ("gat", 15, uniform_nonneg(0.1), 1 + 3),  # 7 layers of 1088 draws per fill
+    ("gcn", 16, uniform_nonneg(0.1), 1 + 2),  # 8 layers of 1024 draws
+    ("gcn", 16, uniform_nonneg(0.1, fresh_per_layer=False), 1 + 1),
+    ("gat", 15, identity_weights(), 1),
+])
+def test_rollout_draws_in_blocks_of_at_most_the_block_size(arch, depth, scheme, fills,
+                                                           monkeypatch):
+    real_fill = Xoshiro256pp.fill
+    counts = []
+
+    def fill(self, count, low=0.0, high=1.0):
+        counts.append(count)
+        return real_fill(self, count, low, high)
+
+    monkeypatch.setattr(Xoshiro256pp, "fill", fill)
+    g = barabasi_albert(10, 2, seed=55)
+    rollout(PropagationConfig(graph=g, width=32, depth=depth, arch=arch, activation=tanh(),
+                              weights=scheme, seed=56))
+    assert len(counts) == fills
+    assert max(counts[1:], default=0) <= propagate._BLOCK_DRAWS
+    per_layer = 32 * 32 + (64 if arch == "gat" else 0)
+    drawn_layers = 0 if scheme.kind == "identity" else depth if scheme.fresh_per_layer else 1
+    assert sum(counts) == 10 * 32 + drawn_layers * per_layer

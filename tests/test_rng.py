@@ -7,6 +7,7 @@ Python fill loop, byte for byte and state for state, and every way it can be
 unavailable must fall back to that loop with one warning.
 """
 
+import math
 import subprocess
 import warnings
 
@@ -192,6 +193,24 @@ def test_parameter_validation():
         rng.fill(-1)
     with pytest.raises(InvalidParameter):
         rng.fill(3, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("low, high", [
+    (-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf),
+    (math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
+])
+def test_fill_rejects_bounds_without_a_finite_width(low, high):
+    # high - low must be finite too: an overflowing width would give inf
+    # draws, an infinite bound inf or NaN ones.
+    rng = Xoshiro256pp(4)
+    with pytest.raises(InvalidParameter, match="finite"):
+        rng.fill(4, low, high)
+    assert rng.random() == Xoshiro256pp(4).random()
+
+
+def test_fill_accepts_the_widest_finite_span():
+    xs = Xoshiro256pp(4).fill(64, -8e307, 8e307)
+    assert np.all(np.isfinite(xs)) and xs.min() >= -8e307 and xs.max() < 8e307
 
 
 def test_nested_subseed_lanes_do_not_collide():
