@@ -11,7 +11,7 @@ linear propagation and compares it against the spectral gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,13 +179,6 @@ class SynthGrid:
     traces: dict  # (row_name, seed_index) -> tuple[MetricReport, ...]
 
 
-def _row_by_name(name: str) -> SynthRow:
-    for row in GRID_ROWS:
-        if row.name == name:
-            return row
-    raise InvalidParameter(f"unknown grid row {name!r}")
-
-
 def run_grid_cell(row: SynthRow, config: SynthConfig, seed_index: int) -> tuple[MetricReport, ...]:
     """One rollout of one grid row; returns the per-layer metric reports.
 
@@ -219,7 +212,7 @@ def synth_table(config: SynthConfig | None = None) -> SynthGrid:
     votes: dict = {}
     traces: dict = {}
     for name in config.rows:
-        row = _row_by_name(name)
+        row = GRID_ROWS[GRID_ROW_NAMES.index(name)]
         per_seed = []
         for k in range(config.seeds):
             reports = run_grid_cell(row, config, k)
@@ -248,8 +241,9 @@ class ToyScenario:
 TOY_NAMES = ("identical_rows", "aligned_rows", "aligned_plus_outlier", "independent_rows")
 
 
-def toy_scenarios(seed: int = 0, n: int = 50, m: int = 2) -> tuple[Graph, tuple[ToyScenario, ...]]:
-    """Four hand-built feature patterns on one preferential-attachment graph.
+def toy_scenarios(seed: int = 0) -> tuple[Graph, tuple[ToyScenario, ...]]:
+    """Four hand-built feature patterns on one preferential-attachment graph
+    with 50 vertices (two edges per new vertex).
 
     1. every row is the same vector: all energies and angles vanish, ranks 1;
     2. rows are sign-mixed multiples of one vector (both signs forced
@@ -261,7 +255,8 @@ def toy_scenarios(seed: int = 0, n: int = 50, m: int = 2) -> tuple[Graph, tuple[
     The measurement direction is the normalized first feature column of each
     scenario. Draw order per scenario is documented inline.
     """
-    g = barabasi_albert(n, m, subseed(seed, 0))
+    n = 50
+    g = barabasi_albert(n, 2, subseed(seed, 0))
     rng = Xoshiro256pp(subseed(seed, 1))
 
     def mixed_signs(count: int) -> np.ndarray:
@@ -362,11 +357,8 @@ def rate_check_matrix(
         raise ConvergenceFailure("could not draw an invertible weight matrix")
 
     ratios = [off_ratio(x)]
-    w = None
-    for layer in range(depth):
-        if scheme.fresh_per_layer or layer == 0:
-            w = draw_weights()
-        x = a @ x @ w
+    for _ in range(depth):
+        x = a @ x @ draw_weights()
         norm = math.sqrt(float(np.sum(x * x)))
         if norm == 0.0:
             ratios.append(0.0)

@@ -451,13 +451,13 @@ def sym_norm_adjacency(g: Graph) -> CsrOperator:
     return CsrOperator(rows, indptr, cols, scale[rows] * scale[cols])
 
 
-def row_stochastic_adjacency(g: Graph) -> np.ndarray:
-    """Row-normalized adjacency with self-loops, dense: row ``i`` puts
+def row_stochastic_adjacency(g: Graph) -> CsrOperator:
+    """Row-normalized adjacency with self-loops: row ``i`` puts
     ``1/(1+d_i)`` on each closed-neighborhood entry, so rows sum to one.
     """
     inv = 1.0 / (1.0 + g.degrees.astype(np.float64))
     rows, indptr, cols = g.closed_csr
-    return np.asarray(CsrOperator(rows, indptr, cols, inv[rows]))
+    return CsrOperator(rows, indptr, cols, inv[rows])
 
 
 def gcn_dominant_eigenvector(g: Graph) -> np.ndarray:

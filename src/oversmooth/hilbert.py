@@ -33,12 +33,28 @@ def _check_cone(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _log_span(x: np.ndarray, y: np.ndarray, axis: int | None = None):
+    """``log max(x / y) - log min(x / y)`` along ``axis`` (over all entries
+    for None) for positive finite ``x`` and ``y``. A ratio that leaves the
+    normal range is taken as ``log x - log y``, so no span overflows."""
+    with np.errstate(over="ignore"):
+        r = x / y
+    normal = (r >= sys.float_info.min) & (r <= sys.float_info.max)
+    if normal.all():
+        # numpy's SIMD log and math.log can differ in the last bit: the span
+        # of a vector keeps math.log's, the spans of columns numpy's.
+        if axis is None:
+            return math.log(float(r.max())) - math.log(float(r.min()))
+        return np.log(r.max(axis)) - np.log(r.min(axis))
+    logs = np.where(normal, np.log(np.where(normal, r, 1.0)), np.log(x) - np.log(y))
+    return logs.max(axis) - logs.min(axis)
+
+
 def hilbert_distance(x, y) -> float:
     """Projective distance between strictly positive vectors of equal length."""
     x = _check_cone(as_vector(x, "x"), "x")
     y = _check_cone(as_vector(y, "y", x.shape[0]), "y")
-    r = x / y
-    return math.log(float(np.max(r))) - math.log(float(np.min(r)))
+    return float(_log_span(x, y))
 
 
 def column_hilbert_radius(x, u) -> float:
@@ -52,9 +68,7 @@ def column_hilbert_radius(x, u) -> float:
     if np.any(x.min(axis=0) <= 0.0):
         bad = int(np.argmin(x.min(axis=0)))
         raise NonpositiveColumn(f"column {bad} leaves the positive cone")
-    r = x / u[:, None]
-    spans = np.log(r.max(axis=0)) - np.log(r.min(axis=0))
-    return float(np.max(spans))
+    return float(np.max(_log_span(x, u[:, None], axis=0)))
 
 
 def contraction_ratio(
@@ -115,18 +129,20 @@ def contraction_ratio(
         target = radius_cap * rng.random()
         if spread < DEGENERATE_RADIUS:
             continue
+        # The cap keeps x and a x finite and x positive; a x is 0 where a has
+        # a zero row or its products underflow.
         x = u * np.exp((xi - float(np.min(xi))) * (target / spread))
-        d0 = hilbert_distance(x, u)
+        d0 = _log_span(x, u)
         if d0 < DEGENERATE_RADIUS:
             continue
-        d1 = hilbert_distance(a @ x, u)
+        d1 = _log_span(_check_cone(a @ x, "x"), u)
         used += 1
         ratio = d1 / d0
         if ratio > worst:
             worst = ratio
     if used == 0:
         raise AllSamplesDegenerate(f"all {samples} samples fell within {DEGENERATE_RADIUS} of u")
-    return worst
+    return float(worst)
 
 
 def activation_eigenvector_check(activation, u, t_values) -> bool:

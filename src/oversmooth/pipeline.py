@@ -291,7 +291,7 @@ def _dmat_kernel():
 
 def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
     """The matrix of ``data`` when the C kernel vouches for its body; None
-    leaves the file, whatever is wrong with it, to ``_load_dmat``."""
+    leaves the file, whatever is wrong with it, to the Python readers."""
     newline = data.find(b"\n")
     if newline < 0:
         return None
@@ -307,18 +307,16 @@ def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
     return None if parse is None else parse(data, newline + 1, rows, cols)
 
 
-def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Load a `.dmat` or headerless CSV matrix; sniffs the format when
-    ``fmt`` is None (a first line starting with ``dmat`` wins)."""
-    if fmt not in (None, "dmat", "csv"):
-        raise InvalidParameter(f"fmt must be None, 'dmat' or 'csv', got {fmt!r}")
+def load_matrix(path) -> np.ndarray:
+    """Load a `.dmat` or headerless CSV matrix: a file whose first line has
+    ``dmat`` as its first whitespace-separated token, as ``parse_header``
+    splits it, is `.dmat`, and any other file is CSV."""
     data = read_bytes(path)
-    if fmt is None:
-        fmt = "dmat" if data.startswith(b"dmat") else "csv"
-    if fmt == "dmat" and (m := _parse_dmat_fast(data)) is not None:
+    # The kernel takes only files whose header parses, all of them `.dmat`.
+    if (m := _parse_dmat_fast(data)) is not None:
         return m
     lines = decode_text(data, path, "utf-8").split("\n")
-    return _load_dmat(lines) if fmt == "dmat" else _load_csv(lines)
+    return _load_dmat(lines) if lines[0].split()[:1] == ["dmat"] else _load_csv(lines)
 
 
 def load_vector(path) -> np.ndarray:
@@ -333,8 +331,9 @@ def load_vector(path) -> np.ndarray:
 class RunManifest:
     """One trained run: depth, accuracy, layer feature files, labels.
 
-    ``u_source`` is 'gcn', 'const', or 'file'; ``u_path`` holds the file for
-    the latter. Relative paths are resolved against the manifest location.
+    ``u_source`` is 'gcn', 'const', or the path of a vector file, as
+    ``_direction`` takes it. Relative paths are resolved against the
+    manifest location.
     """
 
     depth: int
@@ -342,7 +341,6 @@ class RunManifest:
     layer_paths: tuple[str, ...]
     arch_label: str
     u_source: str
-    u_path: str | None = None
 
 
 def read_manifest(path) -> RunManifest:
@@ -373,12 +371,10 @@ def read_manifest(path) -> RunManifest:
     if not isinstance(arch_label, str):
         fail(f"'arch_label' must be a string, got {arch_label!r}")
     source = raw.get("u_source")
-    u_path = None
     if isinstance(source, str) and source in ("gcn", "const"):
         u_source = source
     elif isinstance(source, dict) and isinstance(source.get("file"), str):
-        u_source = "file"
-        u_path = source["file"] if os.path.isabs(source["file"]) else os.path.join(base, source["file"])
+        u_source = source["file"] if os.path.isabs(source["file"]) else os.path.join(base, source["file"])
     else:
         fail(f"'u_source' must be 'gcn', 'const', or {{'file': path}}, got {source!r}")
     resolved = tuple(
@@ -390,7 +386,6 @@ def read_manifest(path) -> RunManifest:
         layer_paths=resolved,
         arch_label=arch_label,
         u_source=u_source,
-        u_path=u_path,
     )
 
 
@@ -476,10 +471,9 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
             raise ShapeMismatch(
                 f"{manifest.layer_paths[-1]}: {x.shape[0]} rows for a graph with {g.n} vertices"
             )
-        source = manifest.u_path if manifest.u_source == "file" else manifest.u_source
-        if source not in directions:
-            directions[source] = _direction(source, g)
-        reports.append(metric_suite(x, g, directions[source]))
+        if manifest.u_source not in directions:
+            directions[manifest.u_source] = _direction(manifest.u_source, g)
+        reports.append(metric_suite(x, g, directions[manifest.u_source]))
     accuracies = [m.accuracy for m in manifests]
     correlations: dict = {}
     failures: dict = {}

@@ -73,17 +73,14 @@ def identity() -> Activation:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """How layer parameters are drawn: 'identity', 'uniform_nonneg' over
-    ``[0, scale)``, or 'uniform_signed' over ``[-scale, scale)``.
-
-    ``fresh_per_layer=False`` samples every parameter once at the first
-    layer and reuses it afterwards. The uniform kinds need a finite
-    ``scale > 0``, and the signed one a finite width ``2 * scale``.
+    """How layer parameters are drawn, fresh at every layer: 'identity',
+    'uniform_nonneg' over ``[0, scale)``, or 'uniform_signed' over
+    ``[-scale, scale)``. The uniform kinds need a finite ``scale > 0``, and
+    the signed one a finite width ``2 * scale``.
     """
 
     kind: str
     scale: float = 1.0
-    fresh_per_layer: bool = True
 
     def __post_init__(self):
         if self.kind not in ("identity", "uniform_nonneg", "uniform_signed"):
@@ -121,12 +118,12 @@ def identity_weights() -> WeightScheme:
     return WeightScheme("identity")
 
 
-def uniform_nonneg(scale: float = 1.0, fresh_per_layer: bool = True) -> WeightScheme:
-    return WeightScheme("uniform_nonneg", scale, fresh_per_layer)
+def uniform_nonneg(scale: float = 1.0) -> WeightScheme:
+    return WeightScheme("uniform_nonneg", scale)
 
 
-def uniform_signed(scale: float = 1.0, fresh_per_layer: bool = True) -> WeightScheme:
-    return WeightScheme("uniform_signed", scale, fresh_per_layer)
+def uniform_signed(scale: float = 1.0) -> WeightScheme:
+    return WeightScheme("uniform_signed", scale)
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,8 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
     Scores are ``leaky_relu(p1 . z_i + p2 . z_j)`` with ``z = x w``, computed
     only on the closed-neighborhood entries of ``g.closed_csr`` and turned
     into rows by a max-shifted softmax over each neighborhood (segment max,
-    exp, segment sum), then scattered into zeros. Zero attention vectors give
-    uniform rows ``1/(1+d_i)``.
+    exp, segment sum), then made dense by ``CsrOperator``'s scatter into
+    zeros. Zero attention vectors give uniform rows ``1/(1+d_i)``.
     """
     x = as_matrix(x, "features")
     w = as_matrix(w, "weights")
@@ -239,9 +236,8 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
     scores = score_activation.apply((z @ p1)[rows] + (z @ p2)[cols])
     starts = indptr[:-1]
     shifted = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
-    att = np.zeros((g.n, g.n))
-    att[rows, cols] = shifted / np.add.reduceat(shifted, starts)[rows]
-    return att
+    weights = shifted / np.add.reduceat(shifted, starts)[rows]
+    return np.asarray(CsrOperator(rows, indptr, cols, weights))
 
 
 def _layer_shapes(config: PropagationConfig) -> tuple:
@@ -298,10 +294,9 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     block, start = np.empty(0), 0
     truncated_at = None
     for layer in range(config.depth):
-        if scheme.kind != "identity" and (scheme.fresh_per_layer or layer == 0):
+        if scheme.kind != "identity":
             if start == block.size:
-                left = config.depth - layer if scheme.fresh_per_layer else 1
-                layers = min(left, max(1, _BLOCK_DRAWS // per_layer))
+                layers = min(config.depth - layer, max(1, _BLOCK_DRAWS // per_layer))
                 block, start = scheme.sample_vector(rng, layers * per_layer), 0
             params, start = _slice_layer(block, start, shapes)
         w, bias, p1, p2, w_res = params

@@ -100,9 +100,9 @@ class Xoshiro256pp:
         return (self.next_u64() >> 11) * _INV53
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by 53-bit scaling (desk-scale bounds)."""
-        if bound < 1:
-            raise InvalidParameter(f"randbelow needs bound >= 1, got {bound}")
+        """Uniform integer in [0, bound) by 53-bit scaling (desk-scale bounds);
+        ``bound`` is a Python or numpy integer >= 1."""
+        bound = require_positive_int(bound, "randbelow bound")
         return int(self.random() * bound)
 
     def fill(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:

@@ -434,18 +434,27 @@ def test_unusable_csr_kernel_falls_back_with_one_warning(unusable_kernel):
 @pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))
 def test_row_stochastic_matches_dense_reference(name):
     g = OPERATOR_GRAPHS[name]()
-    assert np.array_equal(row_stochastic_adjacency(g), dense_row_stochastic(g))
+    a = row_stochastic_adjacency(g)
+    ref = dense_row_stochastic(g)
+    assert isinstance(a, CsrOperator) and a.shape == (g.n, g.n)
+    assert np.array_equal(np.asarray(a), ref)
+    rng = np.random.default_rng(8)
+    for operand in (rng.standard_normal((g.n, 32)), rng.standard_normal(g.n)):
+        want = ref @ operand
+        assert_allclose(a @ operand, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    const = constant_unit_vector(g.n)
+    assert_allclose(a @ const, const, rtol=1e-12, atol=0)
 
 
 def test_row_stochastic_path_middle_row():
-    a = row_stochastic_adjacency(path3())
+    a = np.asarray(row_stochastic_adjacency(path3()))
     assert_allclose(a[1], [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
     assert_allclose(a.sum(axis=1), np.ones(3), rtol=1e-15)
 
 
 def test_row_stochastic_respects_support():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    a = row_stochastic_adjacency(g)
+    a = np.asarray(row_stochastic_adjacency(g))
     assert a[0, 2] == 0.0 and a[0, 3] == 0.0 and a[3, 0] == 0.0
 
 

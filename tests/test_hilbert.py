@@ -54,6 +54,31 @@ def test_distance_triangle_inequality_sampled():
         assert lhs <= rhs + 1e-12
 
 
+def test_distances_stay_defined_past_the_normal_range():
+    # Each x / y here overflows, underflows or is subnormal, so the ratio's
+    # log is taken as log x - log y.
+    assert_allclose(hilbert_distance([1e300, 2e300], [1e-300, 1e-300]), math.log(2.0),
+                    rtol=1e-12)
+    assert hilbert_distance([1e308, 1e308], [1e-10, 1e-10]) == 0.0
+    assert_allclose(hilbert_distance([1e-300, 3e-300], [1e10, 1e10]), math.log(3.0),
+                    rtol=1e-12)
+    assert column_hilbert_radius([[1e308], [1e308]], [1e-10, 1e-10]) == 0.0
+    assert_allclose(column_hilbert_radius([[1e308, 1.0], [1e-300, 2.0]], [1e-10, 1.0]),
+                    618.0 * math.log(10.0), rtol=1e-12)
+
+
+def test_distances_of_normal_ratios_keep_their_bits():
+    rng = Xoshiro256pp(14)
+    for _ in range(200):
+        x, u = np.exp(rng.fill(5, -30.0, 30.0)), np.exp(rng.fill(5, -30.0, 30.0))
+        r = x / u
+        assert hilbert_distance(x, u) == math.log(float(np.max(r))) - math.log(float(np.min(r)))
+        cols = np.exp(rng.matrix(5, 3, -30.0, 30.0))
+        r = cols / u[:, None]
+        want = np.max(np.log(r.max(axis=0)) - np.log(r.min(axis=0)))
+        assert column_hilbert_radius(cols, u) == want
+
+
 def test_distance_domain_errors():
     with pytest.raises(InvalidParameter):
         hilbert_distance([1.0, 0.0], [1.0, 1.0])

@@ -101,11 +101,11 @@ def test_write_matrix_rejects_non_2d(tmp_path):
     assert not (tmp_path / "e.dmat").exists() and not (tmp_path / "n.dmat").exists()
 
 
-def parse_error_line(tmp_path, content, fmt=None):
+def parse_error_line(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content)
     with pytest.raises(ParseError) as err:
-        load_matrix(path, fmt=fmt)
+        load_matrix(path)
     return err.value.line
 
 
@@ -140,10 +140,9 @@ def test_format_sniffing_and_forcing(tmp_path):
     path = tmp_path / "m.any"
     write_matrix(np.ones((1, 1)), path)
     assert load_matrix(path).shape == (1, 1)
-    with pytest.raises(ParseError):
-        load_matrix(path, fmt="csv")
-    with pytest.raises(InvalidParameter):
-        load_matrix(path, fmt="tsv")
+    # The first token of the first line decides, as the header parser splits it.
+    path.write_text(" dmat 1 1 2\n1 2\n")
+    assert load_matrix(path).tobytes() == np.array([[1.0, 2.0]]).tobytes()
     with pytest.raises(IoError):
         load_matrix(tmp_path / "missing.dmat")
 
@@ -318,10 +317,10 @@ def test_dmat_kernel_matches_python_reader_on_a_seeded_sweep():
     assert got is not None and got.tobytes() == want.tobytes()
 
 
-def load_outcome(path, fmt=None):
+def load_outcome(path):
     """What ``load_matrix`` gives: the shape and bytes, or the error and its line."""
     try:
-        m = load_matrix(path, fmt)
+        m = load_matrix(path)
     except (OversmoothError, ValueError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     return m.shape, m.tobytes()
@@ -343,6 +342,7 @@ MALFORMED = {
     "cr splits header": b"dmat 1 1\r2\n3 4\n",
     "bom": b"\xef\xbb\xbfdmat 1 1 2\n1 2\n",
     "trailing spaces": b"dmat 1 2 2 \n1 2  \n  3 4 \n \n",
+    "leading spaces": b" dmat 1 1 2\n 1 2\n",
     "tab separated": b"dmat 1 1 2\n1\t2\n",
     "too few rows": b"dmat 1 3 2\n1 2\n3 4\n",
     "too many rows": b"dmat 1 1 2\n1 2\n3 4\n",
@@ -371,9 +371,9 @@ DEFERRAL_CASES = {
 def test_dmat_outcome_is_the_same_with_the_kernel_off(name, tmp_path, monkeypatch):
     path = tmp_path / "m.dmat"
     path.write_bytes(DEFERRAL_CASES[name])
-    on = [load_outcome(path, fmt) for fmt in (None, "dmat")]
+    on = load_outcome(path)
     monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: None)
-    assert [load_outcome(path, fmt) for fmt in (None, "dmat")] == on
+    assert load_outcome(path) == on
 
 
 def test_dmat_header_counts_reserve_nothing_before_the_body(tmp_path, monkeypatch):
@@ -463,8 +463,7 @@ def test_read_manifest_resolves_relative_paths(tmp_path):
     assert manifest.depth == 4
     assert manifest.accuracy == 0.75
     assert manifest.layer_paths == (str(tmp_path / "layers/x0.dmat"), "/abs/x1.dmat")
-    assert manifest.u_source == "file"
-    assert manifest.u_path == str(tmp_path / "u.dmat")
+    assert manifest.u_source == str(tmp_path / "u.dmat")
 
 
 def test_read_manifest_named_direction_sources(tmp_path):
@@ -474,7 +473,6 @@ def test_read_manifest_named_direction_sources(tmp_path):
             write_manifest(tmp_path / f"{source}.json", {**base, "u_source": source})
         )
         assert manifest.u_source == source
-        assert manifest.u_path is None
 
 
 def test_read_manifest_rejects_bad_payloads(tmp_path):

@@ -313,26 +313,6 @@ def test_rollout_gat_draw_order():
         assert np.array_equal(got, want)
 
 
-def test_rollout_frozen_weights_reuse_first_draw():
-    g = barabasi_albert(6, 2, seed=10)
-    config = PropagationConfig(
-        graph=g, width=3, depth=3, arch="gcn", activation=identity(),
-        weights=uniform_signed(0.5, fresh_per_layer=False), seed=77,
-    )
-    trace = rollout(config)
-
-    rng = Xoshiro256pp(77)
-    a = sym_norm_adjacency(g)
-    x = rng.matrix(g.n, 3, 0.0, 1.0)
-    w = rng.matrix(3, 3, -0.5, 0.5)
-    states = [x]
-    for _ in range(3):
-        x = a @ x @ w
-        states.append(x)
-    for got, want in zip(trace.features, states):
-        assert np.array_equal(got, want)
-
-
 def test_rollout_truncates_on_overflow():
     g = edge2()
     config = PropagationConfig(
@@ -409,15 +389,14 @@ def per_parameter_replay(config: PropagationConfig) -> np.ndarray:
     x0 = rng.matrix(g.n, width, 0.0, 1.0)
     states = [x0]
     x = x0
-    for layer in range(config.depth):
-        if scheme.fresh_per_layer or layer == 0:
-            w = scheme.sample(rng, width, width)
-            bias = scheme.sample_vector(rng, width) if config.use_bias else None
-            if config.arch == "gat":
-                p1 = scheme.sample_vector(rng, width)
-                p2 = scheme.sample_vector(rng, width)
-            if config.use_residual:
-                w_res = scheme.sample(rng, width, width)
+    for _ in range(config.depth):
+        w = scheme.sample(rng, width, width)
+        bias = scheme.sample_vector(rng, width) if config.use_bias else None
+        if config.arch == "gat":
+            p1 = scheme.sample_vector(rng, width)
+            p2 = scheme.sample_vector(rng, width)
+        if config.use_residual:
+            w_res = scheme.sample(rng, width, width)
         if config.arch == "gat":
             a = gat_attention(x, w, p1, p2, g, config.gat_leaky_alpha)
         else:
@@ -435,9 +414,8 @@ def layers_per_block(width: int, arch: str, use_bias: bool, use_residual: bool) 
     return max(1, propagate._BLOCK_DRAWS // draws)
 
 
-@pytest.mark.parametrize("scheme", [identity_weights(), uniform_nonneg(0.1),
-                                    uniform_signed(0.2), uniform_signed(0.2, False)],
-                         ids=["identity", "nonneg", "signed", "signed-frozen"])
+@pytest.mark.parametrize("scheme", [identity_weights(), uniform_nonneg(0.1), uniform_signed(0.2)],
+                         ids=["identity", "nonneg", "signed"])
 @pytest.mark.parametrize("use_residual", [False, True], ids=["no-residual", "residual"])
 @pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
 @pytest.mark.parametrize("arch", ["gcn", "gat"])
@@ -470,7 +448,6 @@ def test_block_draws_equal_per_parameter_draws_when_truncated_mid_block():
 @pytest.mark.parametrize("arch, depth, scheme, fills", [
     ("gat", 15, uniform_nonneg(0.1), 1 + 3),  # 7 layers of 1088 draws per fill
     ("gcn", 16, uniform_nonneg(0.1), 1 + 2),  # 8 layers of 1024 draws
-    ("gcn", 16, uniform_nonneg(0.1, fresh_per_layer=False), 1 + 1),
     ("gat", 15, identity_weights(), 1),
 ])
 def test_rollout_draws_in_blocks_of_at_most_the_block_size(arch, depth, scheme, fills,
@@ -489,5 +466,5 @@ def test_rollout_draws_in_blocks_of_at_most_the_block_size(arch, depth, scheme, 
     assert len(counts) == fills
     assert max(counts[1:], default=0) <= propagate._BLOCK_DRAWS
     per_layer = 32 * 32 + (64 if arch == "gat" else 0)
-    drawn_layers = 0 if scheme.kind == "identity" else depth if scheme.fresh_per_layer else 1
+    drawn_layers = 0 if scheme.kind == "identity" else depth
     assert sum(counts) == 10 * 32 + drawn_layers * per_layer

@@ -185,6 +185,15 @@ def test_randbelow_one_is_always_zero():
     assert all(rng.randbelow(1) == 0 for _ in range(20))
 
 
+def test_randbelow_takes_only_integer_bounds():
+    rng = Xoshiro256pp(5)
+    for bound in (2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(InvalidParameter, match="randbelow bound must be an integer"):
+            rng.randbelow(bound)
+    # A refused bound draws nothing; a numpy integer is taken by its value.
+    assert rng.randbelow(np.int64(10)) == Xoshiro256pp(5).randbelow(10)
+
+
 def test_parameter_validation():
     rng = Xoshiro256pp(0)
     with pytest.raises(InvalidParameter):
