@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--depth", type=int, default=200)
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("contraction", help="sampled projective contraction ratio")
@@ -202,8 +201,7 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_rate(args) -> int:
     g = _resolve_graph(args)
-    scheme = propagate.uniform_signed(args.scale)
-    report = experiments.rate_check(g, args.width, args.depth, scheme, subseed(args.seed, 1))
+    report = experiments.rate_check(g, args.width, args.depth, subseed(args.seed, 1))
     print(
         f"measured_rate={pipeline.format_float(report.measured_rate)} "
         f"predicted_rate={pipeline.format_float(report.predicted_rate)}"

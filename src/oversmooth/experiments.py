@@ -31,7 +31,7 @@ from .graph import (
     is_connected,
     sym_norm_adjacency,
 )
-from .linalg import _dominant_eigenpair, _spectral_gap, _spectrum
+from .linalg import _dominant_eigenpair, _spectral_gap, _spectrum, pow2_scale
 from .metrics import (_RANK_METRICS, CANONICAL_METRICS, MetricReport, _e_proj, metric_series,
                       metric_suite)
 from .propagate import (
@@ -43,7 +43,6 @@ from .propagate import (
     rollout,
     tanh,
     uniform_nonneg,
-    uniform_signed,
 )
 from .rng import Xoshiro256pp, subseed
 from .validation import as_square_matrix, require_positive_int
@@ -309,8 +308,9 @@ def rate_check_matrix(
     a,
     width: int = 32,
     depth: int = 200,
-    weight_scheme: WeightScheme | None = None,
     seed: int = 0,
+    *,
+    identity: bool = False,
 ) -> RateReport:
     """Core of the rate check for an arbitrary propagation matrix.
 
@@ -319,19 +319,13 @@ def rate_check_matrix(
     ``r_l = ||x - u u^T x||_F / ||u u^T x||_F`` against the dominant unit
     direction ``u`` of ``a``, and fits ``log r_l`` by least squares over the
     final half of the layers. The fitted ``exp(slope)`` should match the
-    spectral gap of ``a``. Weight schemes are restricted to identity or
-    uniform_signed; sampled matrices with ``|det| < 1e-8`` are redrawn so no
-    layer loses rank.
+    spectral gap of ``a`` at any scale of ``a`` or of the weights. Weights
+    are the identity or uniform on ``[-1, 1)``, redrawn while
+    ``|det| < 1e-8`` so no layer loses rank.
     """
     a = as_square_matrix(a, "propagation matrix")
     require_positive_int(width, "width")
     require_positive_int(depth, "depth", 4)
-    scheme = weight_scheme or uniform_signed(1.0)
-    if scheme.kind not in ("identity", "uniform_signed"):
-        raise InvalidParameter(
-            "rate check needs sign-symmetric or identity weights; "
-            f"got {scheme.kind!r}"
-        )
     vals, vecs = _spectrum(a)
     _, u = _dominant_eigenpair(vals, vecs)
     predicted = _spectral_gap(vals)
@@ -347,10 +341,10 @@ def rate_check_matrix(
         return math.sqrt(_e_proj(mat, u)) / denom
 
     def draw_weights() -> np.ndarray:
+        if identity:
+            return np.eye(width)
         for _ in range(100):
-            w = scheme.sample(rng, width, width)
-            if scheme.kind == "identity":
-                return w
+            w = rng.matrix(width, width, -1.0, 1.0)
             sign, logdet = np.linalg.slogdet(w)
             if sign != 0.0 and logdet >= math.log(1e-8):
                 return w
@@ -359,6 +353,7 @@ def rate_check_matrix(
     ratios = [off_ratio(x)]
     for _ in range(depth):
         x = a @ x @ draw_weights()
+        x = x / pow2_scale(x)
         norm = math.sqrt(float(np.sum(x * x)))
         if norm == 0.0:
             ratios.append(0.0)
@@ -391,12 +386,13 @@ def rate_check(
     g: Graph,
     width: int = 32,
     depth: int = 200,
-    weight_scheme: WeightScheme | None = None,
     seed: int = 0,
+    *,
+    identity: bool = False,
 ) -> RateReport:
     """Rate check on a graph's symmetrically normalized adjacency. Requires a
     connected graph: otherwise eigenvalue 1 is repeated and the direction is
     an arbitrary vector of its eigenspace."""
     if not is_connected(g):
         raise DisconnectedGraph("rate check needs a connected graph")
-    return rate_check_matrix(sym_norm_adjacency(g), width, depth, weight_scheme, seed)
+    return rate_check_matrix(sym_norm_adjacency(g), width, depth, seed, identity=identity)

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._native import NoKernel, kernel, load_function
 from .errors import DisconnectedGraph, InvalidParameter, ParseError, ShapeMismatch
+from .linalg import _unit
 from .rng import _C_XOSHIRO, Xoshiro256pp
 from .validation import body_tokens, parse_header, read_text, require_positive_int, write_lines
 
@@ -467,8 +468,7 @@ def gcn_dominant_eigenvector(g: Graph) -> np.ndarray:
     """
     if not is_connected(g):
         raise DisconnectedGraph("dominant eigenvector needs a connected graph")
-    u = np.sqrt(1.0 + g.degrees.astype(np.float64))
-    return u / math.sqrt(float(u @ u))
+    return _unit(np.sqrt(1.0 + g.degrees.astype(np.float64)))
 
 
 def constant_unit_vector(n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameter,
     NonpositiveColumn,
 )
+from .linalg import _unit
 from .rng import Xoshiro256pp
 from .validation import as_matrix, as_square_matrix, as_vector, require_positive_int
 
@@ -90,11 +91,15 @@ def contraction_ratio(
     a near-degenerate spread push ``exp`` out of float range. Samples
     landing closer than 1e-12 to ``u`` are skipped; AllSamplesDegenerate
     is raised if none survive. A cap so large that ``exp`` of it, scaled by
-    ``u`` and ``a``, could overflow is rejected with the largest usable one.
+    ``u`` and ``a``, could overflow is rejected with the largest usable one,
+    and a zero row of ``a`` is rejected up front.
     """
     a = as_square_matrix(a, "matrix")
     if np.any(a < 0.0):
         raise InvalidParameter("matrix must be entrywise nonnegative")
+    zero_rows = np.flatnonzero(~a.any(axis=1))
+    if zero_rows.size:
+        raise InvalidParameter(f"matrix row {int(zero_rows[0])} is zero, so a x leaves the cone")
     u = _check_cone(as_vector(u, "u", a.shape[0]), "u")
     if not (radius_cap > 0.0 and math.isfinite(radius_cap)):
         raise InvalidParameter(f"radius_cap must be finite and > 0, got {radius_cap}")
@@ -129,13 +134,13 @@ def contraction_ratio(
         target = radius_cap * rng.random()
         if spread < DEGENERATE_RADIUS:
             continue
-        # The cap keeps x and a x finite and x positive; a x is 0 where a has
-        # a zero row or its products underflow.
+        # The cap keeps x and a x finite and x positive; a x can still be 0
+        # where a row's products underflow.
         x = u * np.exp((xi - float(np.min(xi))) * (target / spread))
         d0 = _log_span(x, u)
         if d0 < DEGENERATE_RADIUS:
             continue
-        d1 = _log_span(_check_cone(a @ x, "x"), u)
+        d1 = _log_span(_check_cone(a @ x, "a x"), u)
         used += 1
         ratio = d1 / d0
         if ratio > worst:
@@ -147,19 +152,21 @@ def contraction_ratio(
 
 def activation_eigenvector_check(activation, u, t_values) -> bool:
     """True when ``activation(t * u)`` stays on the line spanned by ``u``
-    for every ``t`` (to 1e-12 relative residual).
+    for every ``t``: the residual of its unit vector off that line is at
+    most 1e-12. Both unit vectors are taken at any magnitude, so the answer
+    does not depend on the scale of ``u``.
     """
     u = _check_cone(as_vector(u, "u"), "u")
-    unit = u / math.sqrt(float(u @ u))
+    unit = _unit(u)
     for t in t_values:
         t = float(t)
         if t == 0.0 or not math.isfinite(t):
             raise InvalidParameter(f"t values must be finite and nonzero, got {t}")
         y = activation.apply(t * u)
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
+        if not y.any():
             continue
+        y = _unit(y)
         resid = y - float(unit @ y) * unit
-        if math.sqrt(float(resid @ resid)) > 1e-12 * ny:
+        if math.sqrt(float(resid @ resid)) > 1e-12:
             return False
     return True

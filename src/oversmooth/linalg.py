@@ -12,9 +12,11 @@ not be symmetric, come from one call to LAPACK's general eigensolver
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateSpectrum
+from .errors import ConvergenceFailure, DegenerateSpectrum, InvalidParameter
 from .validation import as_matrix, as_square_matrix
 
 
@@ -32,6 +34,16 @@ def pow2_scale(m):
     # frexp(0) has exponent 0, so a zero matrix gets scale 1.
     scale = np.ldexp(1.0, np.minimum(np.frexp(peak)[1], 1023))
     return float(scale) if m.ndim <= 2 else scale
+
+
+def _unit(v, name: str = "vector") -> np.ndarray:
+    """``v / ||v||`` at any magnitude, with the plain formula's bits in
+    range (see ``pow2_scale``). Raises InvalidParameter for a zero vector."""
+    v = v / pow2_scale(v)
+    norm = math.sqrt(float(v @ v))
+    if norm == 0.0:
+        raise InvalidParameter(f"{name} holds a zero vector")
+    return v / norm
 
 
 def singular_values(m) -> np.ndarray:

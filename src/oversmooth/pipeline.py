@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graph import Graph, constant_unit_vector, gcn_dominant_eigenvector
-from .linalg import pow2_scale
+from .linalg import _unit
 from .metrics import _RANK_METRICS, CANONICAL_METRICS, MetricReport, metric_series, metric_suite
 from .validation import (
     as_matrix,
@@ -436,14 +436,7 @@ def _direction(source: str, g: Graph) -> np.ndarray:
         return gcn_dominant_eigenvector(g)
     if source == "const":
         return constant_unit_vector(g.n)
-    u = load_vector(source)
-    # Divide by an exact power of two first, as the metric core does, so the
-    # squared norm neither overflows nor underflows at any magnitude.
-    u = u / pow2_scale(u)
-    norm = math.sqrt(float(u @ u))
-    if norm == 0.0:
-        raise InvalidParameter(f"direction file {source} holds a zero vector")
-    return u / norm
+    return _unit(load_vector(source), f"direction file {source}")
 
 
 def correlate(manifests, g: Graph) -> CorrelationReport:

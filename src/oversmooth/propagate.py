@@ -96,15 +96,6 @@ class WeightScheme:
                 f"signed scale {self.scale} spans a width 2 * scale beyond the float range"
             )
 
-    def sample(self, rng: Xoshiro256pp, rows: int, cols: int) -> np.ndarray:
-        if self.kind == "identity":
-            if rows != cols:
-                raise ShapeMismatch(
-                    f"identity weights need square shape, got {rows}x{cols}"
-                )
-            return np.eye(rows)
-        return self.sample_vector(rng, rows * cols).reshape(rows, cols)
-
     def sample_vector(self, rng: Xoshiro256pp, length: int) -> np.ndarray:
         # The identity scheme has no distribution to draw from; vector
         # parameters (bias, attention) degrade to zero.

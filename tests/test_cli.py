@@ -240,6 +240,9 @@ def test_rate_reports_both_rates(capsys):
     assert match
     assert 0.0 < float(match.group(1)) < 1.0
     assert 0.0 < float(match.group(2)) < 1.0
+    # The weights' scale cancels in the per-layer renormalization: no option.
+    with pytest.raises(SystemExit):
+        main(["rate", "--ba", "8,2", "--scale", "0.5"])
 
 
 def test_rate_disconnected_graph_is_a_parse_failure(tmp_path, capsys):

@@ -26,9 +26,8 @@ from oversmooth.experiments import (
     synth_table,
     toy_scenarios,
 )
-from oversmooth.graph import Graph, barabasi_albert
+from oversmooth.graph import Graph, barabasi_albert, sym_norm_adjacency
 from oversmooth.metrics import CANONICAL_METRICS, metric_suite
-from oversmooth.propagate import identity_weights, uniform_nonneg, uniform_signed
 
 
 def test_energy_series_decays_with_crossing_layer():
@@ -205,7 +204,7 @@ def test_rate_check_matrix_exact_two_point_spectrum():
     # Depth stays shallow enough that the tracked ratio (0.5^l) never sinks
     # to the ~1e-12 precision of the fitted dominant direction.
     a = np.diag([1.0, 0.5])
-    report = rate_check_matrix(a, width=8, depth=20, weight_scheme=identity_weights(), seed=0)
+    report = rate_check_matrix(a, width=8, depth=20, seed=0, identity=True)
     assert_allclose(report.predicted_rate, 0.5, rtol=1e-9)
     assert_allclose(report.measured_rate, 0.5, rtol=1e-5)
     assert report.fit_start == 10
@@ -215,13 +214,13 @@ def test_rate_check_matrix_exact_two_point_spectrum():
 
 def test_rate_check_matrix_random_weights_same_rate():
     a = np.diag([1.0, 0.7, 0.3])
-    report = rate_check_matrix(a, width=8, depth=60, weight_scheme=uniform_signed(1.0), seed=3)
+    report = rate_check_matrix(a, width=8, depth=60, seed=3)
     assert_allclose(report.measured_rate, 0.7, rtol=0.05)
 
 
 def test_rate_check_matrix_instant_alignment():
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    report = rate_check_matrix(a, width=4, depth=10, weight_scheme=identity_weights())
+    report = rate_check_matrix(a, width=4, depth=10, identity=True)
     assert report.measured_rate == 0.0
     assert report.ratios[-1] == 0.0
 
@@ -230,14 +229,10 @@ def test_rate_check_matrix_fit_window_invariants():
     # A denormal-scale second eigenvalue wipes the off-direction residual to
     # an exact zero in one step, which must take the instant-alignment path
     # rather than a degenerate fit.
-    report = rate_check_matrix(
-        np.diag([1.0, 1e-300]), width=4, depth=10, weight_scheme=identity_weights()
-    )
+    report = rate_check_matrix(np.diag([1.0, 1e-300]), width=4, depth=10, identity=True)
     assert report.measured_rate == 0.0
     assert report.ratios[-1] == 0.0
-    normal = rate_check_matrix(
-        np.diag([1.0, 0.5]), width=4, depth=12, weight_scheme=identity_weights()
-    )
+    normal = rate_check_matrix(np.diag([1.0, 0.5]), width=4, depth=12, identity=True)
     assert normal.fit_stop - normal.fit_start >= 1
     assert normal.fit_stop == len(normal.ratios) - 1
 
@@ -248,8 +243,18 @@ def test_rate_check_matrix_validation():
         rate_check_matrix(a, depth=3)
     with pytest.raises(InvalidParameter):
         rate_check_matrix(a, depth=40.0)
-    with pytest.raises(InvalidParameter):
-        rate_check_matrix(a, weight_scheme=uniform_nonneg(0.1))
+    with pytest.raises(TypeError):
+        rate_check_matrix(a, 4, 30, 0, True)
+
+
+def test_rate_check_matrix_is_scale_free():
+    # Renormalized layers cancel any scale of a; at 2^600 the squared entries
+    # overflowed, and at 2^-600 they underflowed to a rate of 0 after one layer.
+    a = np.asarray(sym_norm_adjacency(barabasi_albert(12, 2, 1)))
+    want = rate_check_matrix(a, width=8, depth=40, seed=3).measured_rate
+    for scale in (2.0**600, 2.0**-600):
+        got = rate_check_matrix(a * scale, width=8, depth=40, seed=3).measured_rate
+        assert_allclose(got, want, rtol=1e-6)
 
 
 def test_rate_check_solves_one_eigenproblem(monkeypatch):
@@ -271,7 +276,7 @@ def test_rate_check_on_graph_matches_gap():
     # Depth is chosen so gap^depth stays well above the ~1e-12 precision of
     # the fitted dominant direction; deeper fits flatten into that floor.
     g = barabasi_albert(8, 2, seed=21)
-    clean = rate_check(g, width=16, depth=30, weight_scheme=identity_weights(), seed=4)
+    clean = rate_check(g, width=16, depth=30, seed=4, identity=True)
     assert clean.predicted_rate > 0.0
     assert_allclose(clean.measured_rate, clean.predicted_rate, rtol=1e-3)
     noisy = rate_check(g, width=16, depth=30, seed=4)

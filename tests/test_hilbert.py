@@ -137,6 +137,16 @@ def test_contraction_ratio_checks_the_direction_at_any_scale():
         contraction_ratio(a, [1e300, 1e300], radius_cap=50.0)
 
 
+def test_contraction_ratio_names_a_zero_row():
+    # u passes the eigenvector check to 1e-10, so the zero row surfaced only
+    # as a sample leaving the cone, under a name the caller never passed.
+    with pytest.raises(InvalidParameter, match="matrix row 1 is zero"):
+        contraction_ratio([[1.0, 0.0], [0.0, 0.0]], [1.0, 1e-11], samples=5)
+    # With no zero row, a x can still leave the cone by underflow.
+    with pytest.raises(InvalidParameter, match="a x must be strictly positive"):
+        contraction_ratio([[1.0, 0.0], [0.0, 0.5]], [1.0, 5e-324], samples=5)
+
+
 def test_contraction_ratio_rejects_negative_entries():
     with pytest.raises(InvalidParameter):
         contraction_ratio([[0.5, -0.5], [0.5, 0.5]], [1.0, 1.0], samples=10)
@@ -186,6 +196,16 @@ def test_activation_line_checks():
     assert activation_eigenvector_check(identity(), np.array([1.0, 2.0]), t)
     assert activation_eigenvector_check(leaky_relu(), np.array([1.0, 2.0]), [0.5, 2.0])
     assert not activation_eigenvector_check(tanh(), np.array([1.0, 2.0]), t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_activation_line_check_is_scale_free():
+    t = [-2.0, -0.5, 0.5, 2.0]
+    for scale in (1e200, 1e-200):
+        assert activation_eigenvector_check(tanh(), np.ones(4) * scale, t)
+        assert activation_eigenvector_check(identity(), np.array([1.0, 2.0]) * scale, t)
+        assert activation_eigenvector_check(leaky_relu(), np.array([1.0, 2.0]) * scale, [0.5])
+    assert not activation_eigenvector_check(tanh(), [1e200, 1.0], [1.0])
 
 
 def test_activation_line_check_rejects_zero_t():

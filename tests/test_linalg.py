@@ -20,7 +20,7 @@ from oversmooth.errors import (
     ShapeMismatch,
 )
 from oversmooth.graph import barabasi_albert, gcn_dominant_eigenvector, sym_norm_adjacency
-from oversmooth.linalg import dominant_eigenpair, pow2_scale, singular_values, spectral_gap
+from oversmooth.linalg import _unit, dominant_eigenpair, pow2_scale, singular_values, spectral_gap
 from oversmooth.rng import Xoshiro256pp
 
 
@@ -246,3 +246,15 @@ def test_spectral_gap_zero_matrix_raises():
 
 def test_single_vertex_gap_is_zero():
     assert spectral_gap(np.array([[3.0]])) == 0.0
+
+
+def test_unit_vector_has_the_plain_formula_bits_at_any_scale():
+    rng = Xoshiro256pp(808)
+    for k in range(200):
+        v = rng.fill(1 + k % 40, -1.0, 1.0)
+        want = v / math.sqrt(float(v @ v))
+        assert _unit(v).tobytes() == want.tobytes()
+        for scale in (2.0**600, 2.0**-600):
+            assert _unit(v * scale).tobytes() == want.tobytes()
+    with pytest.raises(InvalidParameter, match="w holds a zero vector"):
+        _unit(np.zeros(3), "w")

@@ -81,21 +81,18 @@ def test_weight_scheme_checks_itself_at_construction(kind, scale):
 
 def test_weight_scheme_sampling():
     rng = Xoshiro256pp(3)
-    assert np.array_equal(identity_weights().sample(rng, 3, 3), np.eye(3))
-    with pytest.raises(ShapeMismatch):
-        identity_weights().sample(rng, 2, 3)
     assert np.array_equal(identity_weights().sample_vector(rng, 4), np.zeros(4))
-    m = uniform_nonneg(0.05).sample(rng, 4, 4)
+    m = uniform_nonneg(0.05).sample_vector(rng, 16)
     assert m.min() >= 0.0 and m.max() < 0.05
-    s = uniform_signed(0.5).sample(rng, 4, 4)
+    s = uniform_signed(0.5).sample_vector(rng, 16)
     assert s.min() < 0.0 and abs(s).max() < 0.5
     with pytest.raises(InvalidParameter):
         uniform_nonneg(0.0)
     with pytest.raises(InvalidParameter):
         uniform_signed(-1.0)
     # The widest finite spans still draw finite parameters.
-    assert np.all(np.isfinite(uniform_signed(8e307).sample(rng, 4, 4)))
-    assert np.all(np.isfinite(uniform_nonneg(1.7e308).sample(rng, 4, 4)))
+    assert np.all(np.isfinite(uniform_signed(8e307).sample_vector(rng, 16)))
+    assert np.all(np.isfinite(uniform_nonneg(1.7e308).sample_vector(rng, 16)))
 
 
 def test_gcn_layer_averages_single_edge():
@@ -389,14 +386,20 @@ def per_parameter_replay(config: PropagationConfig) -> np.ndarray:
     x0 = rng.matrix(g.n, width, 0.0, 1.0)
     states = [x0]
     x = x0
+
+    def square() -> np.ndarray:
+        if scheme.kind == "identity":
+            return np.eye(width)
+        return scheme.sample_vector(rng, width * width).reshape(width, width)
+
     for _ in range(config.depth):
-        w = scheme.sample(rng, width, width)
+        w = square()
         bias = scheme.sample_vector(rng, width) if config.use_bias else None
         if config.arch == "gat":
             p1 = scheme.sample_vector(rng, width)
             p2 = scheme.sample_vector(rng, width)
         if config.use_residual:
-            w_res = scheme.sample(rng, width, width)
+            w_res = square()
         if config.arch == "gat":
             a = gat_attention(x, w, p1, p2, g, config.gat_leaky_alpha)
         else:
