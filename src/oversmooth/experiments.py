@@ -309,8 +309,6 @@ def rate_check_matrix(
     width: int = 32,
     depth: int = 200,
     seed: int = 0,
-    *,
-    identity: bool = False,
 ) -> RateReport:
     """Core of the rate check for an arbitrary propagation matrix.
 
@@ -319,9 +317,11 @@ def rate_check_matrix(
     ``r_l = ||x - u u^T x||_F / ||u u^T x||_F`` against the dominant unit
     direction ``u`` of ``a``, and fits ``log r_l`` by least squares over the
     final half of the layers. The fitted ``exp(slope)`` should match the
-    spectral gap of ``a`` at any scale of ``a`` or of the weights. Weights
-    are the identity or uniform on ``[-1, 1)``, redrawn while
-    ``|det| < 1e-8`` so no layer loses rank.
+    spectral gap of ``a`` at any scale of ``a``. Weights are uniform on
+    ``[-1, 1)``, redrawn while ``|det| < 1e-8`` so no layer loses rank. The
+    loop runs on ``a`` divided by ``pow2_scale(a)``, an exact division that
+    cancels in the renormalization and keeps every layer in range at any
+    magnitude of ``a``.
     """
     a = as_square_matrix(a, "propagation matrix")
     require_positive_int(width, "width")
@@ -329,6 +329,7 @@ def rate_check_matrix(
     vals, vecs = _spectrum(a)
     _, u = _dominant_eigenpair(vals, vecs)
     predicted = _spectral_gap(vals)
+    a_loop = a / pow2_scale(a)
     rng = Xoshiro256pp(seed)
     n = a.shape[0]
     x = rng.matrix(n, width, 0.0, 1.0)
@@ -341,8 +342,6 @@ def rate_check_matrix(
         return math.sqrt(_e_proj(mat, u)) / denom
 
     def draw_weights() -> np.ndarray:
-        if identity:
-            return np.eye(width)
         for _ in range(100):
             w = rng.matrix(width, width, -1.0, 1.0)
             sign, logdet = np.linalg.slogdet(w)
@@ -352,8 +351,7 @@ def rate_check_matrix(
 
     ratios = [off_ratio(x)]
     for _ in range(depth):
-        x = a @ x @ draw_weights()
-        x = x / pow2_scale(x)
+        x = a_loop @ x @ draw_weights()
         norm = math.sqrt(float(np.sum(x * x)))
         if norm == 0.0:
             ratios.append(0.0)
@@ -387,12 +385,10 @@ def rate_check(
     width: int = 32,
     depth: int = 200,
     seed: int = 0,
-    *,
-    identity: bool = False,
 ) -> RateReport:
     """Rate check on a graph's symmetrically normalized adjacency. Requires a
     connected graph: otherwise eigenvalue 1 is repeated and the direction is
     an arbitrary vector of its eigenspace."""
     if not is_connected(g):
         raise DisconnectedGraph("rate check needs a connected graph")
-    return rate_check_matrix(sym_norm_adjacency(g), width, depth, seed, identity=identity)
+    return rate_check_matrix(sym_norm_adjacency(g), width, depth, seed)

@@ -4,9 +4,9 @@
 
 Each command runs in a fresh interpreter with ``--src`` first on the import
 path and OpenBLAS, OpenMP and MKL pinned to one thread, inside one temporary
-directory. Paths are passed relative to that directory, so nothing printed
-depends on where it is. The input files are written by the package under
-test, in a subprocess of their own.
+directory. Paths are passed relative to that directory, so nothing a clean
+run prints depends on where it is. The input files are written by the
+package under test, in a subprocess of their own.
 
 The output starts with a header: numpy's version, the BLAS it was built
 with, and ``np.show_runtime()`` (SIMD extensions, BLAS threads). Then come
@@ -14,6 +14,11 @@ sorted ``sha256  path`` lines for every file written and for each command's
 stdout and stderr, one ``exit=<code>  <command>`` line per command, and a
 last ``digest`` line over all of them. Two checkouts that print the same
 digest on one machine and numpy build wrote the same bytes.
+
+Every command must exit 0 with an empty stderr: a warning or a traceback
+names the checkout's absolute path, and a command that fails the same way
+on both trees proves nothing. Any that does not is named on a ``FAILED``
+line, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -108,10 +113,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden(src: Path) -> list[str]:
-    """The sorted hash and exit-code lines of one run of the command set."""
+def golden(src: Path) -> tuple[list[str], list[str]]:
+    """The sorted hash and exit-code lines of one run of the command set, and
+    a ``FAILED`` line for each command that exited nonzero or wrote stderr."""
     env = _env(src)
     entries = []
+    failed = []
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         root = Path(tmp)
         (root / "inputs").mkdir()
@@ -122,11 +129,14 @@ def golden(src: Path) -> list[str]:
             entries.append((f"{name}.stdout", f"{_sha(done.stdout)}  {name}.stdout"))
             entries.append((f"{name}.stderr", f"{_sha(done.stderr)}  {name}.stderr"))
             entries.append((f"{name}.exit", f"exit={done.returncode}  {name}"))
+            if done.returncode != 0 or done.stderr:
+                failed.append(f"FAILED  {name}: exit={done.returncode}, "
+                              f"{len(done.stderr)} bytes of stderr")
         for path in root.rglob("*"):
             if path.is_file():
                 rel = path.relative_to(root).as_posix()
                 entries.append((rel, f"{_sha(path.read_bytes())}  {rel}"))
-    return [line for _, line in sorted(entries)]
+    return [line for _, line in sorted(entries)], failed
 
 
 def main(argv=None) -> int:
@@ -137,12 +147,12 @@ def main(argv=None) -> int:
     src = args.src.resolve()
     if not (src / "oversmooth" / "__init__.py").is_file():
         parser.error(f"{src} holds no oversmooth package")
-    lines = golden(src)
-    for line in _header() + lines:
+    lines, failed = golden(src)
+    for line in _header() + lines + failed:
         print(line)
     listing = "".join(line + "\n" for line in lines)
     print(f"digest  {_sha(listing.encode())}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
