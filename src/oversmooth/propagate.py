@@ -16,6 +16,7 @@ bits of one fill per parameter.
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 from dataclasses import dataclass, field
 
@@ -268,7 +269,12 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     """
     g = config.graph
     rng = Xoshiro256pp(config.seed)
-    features = np.empty((config.depth + 1, g.n, config.width))
+    # In a mapping of its own, unmapped with its last view: in the heap, the
+    # holes this long-lived buffer leaves made peak RSS vary by megabytes.
+    count = (config.depth + 1) * g.n * config.width
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    buf = mmap.mmap(-1, max(8 * count, 1), flags=flags)
+    features = np.frombuffer(buf, np.float64, count).reshape(config.depth + 1, g.n, config.width)
     if config.init is None:
         features[0] = rng.matrix(g.n, config.width, 0.0, 1.0)
     else:

@@ -1,6 +1,7 @@
 """Message-passing simulator tests: layer maps, attention, draw order."""
 
 import math
+import mmap
 import weakref
 
 import numpy as np
@@ -365,6 +366,21 @@ def test_rollout_features_are_one_stack():
     trace = rollout(PropagationConfig(graph=g, width=3, depth=4, seed=3))
     assert trace.features.shape == (5, 6, 3)
     assert trace.features.flags.c_contiguous
+
+
+def test_rollout_buffer_is_its_own_mapping_and_is_released_with_the_trace():
+    # Kept out of the malloc heap, so that peak RSS follows what is alive.
+    g = barabasi_albert(6, 2, seed=13)
+    trace = rollout(PropagationConfig(graph=g, width=3, depth=4, seed=3))
+    owner = trace.features
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    owner = owner.obj  # the memoryview np.frombuffer holds
+    assert isinstance(owner, mmap.mmap) and len(owner) == 5 * 6 * 3 * 8
+    assert trace.features.flags.writeable
+    released = weakref.ref(owner)
+    del owner, trace
+    assert released() is None
 
 
 def test_rollout_hook_runs_on_every_recorded_state():
