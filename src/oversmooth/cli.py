@@ -165,9 +165,8 @@ def _cmd_rollout(args) -> int:
         use_bias=args.bias,
         use_residual=args.residual,
     )
-    u = pipeline._direction("gcn" if args.arch == "gcn" else "const", g)
     trace = propagate.rollout(config)
-    reports = metrics.metric_suite(trace.features, g, u)
+    reports = metrics.metric_suite(trace.features, g, propagate._direction(args.arch, g))
     written = pipeline.write_report(args.out, traces={(args.arch, args.seed): reports})
     if trace.truncated_at is not None:
         print(f"truncated at layer {trace.truncated_at}", file=sys.stderr)

@@ -104,7 +104,7 @@ class SeriesTooShort(_InsufficientInput):
 
 
 class RatioUnderflow(_NumericFailure):
-    """Alignment ratios underflowed before a fit window could form."""
+    """The alignment ratio fell below 1e-12 by layer 1, before a fit window could form."""
 
 
 class DegenerateInput(_NumericFailure):

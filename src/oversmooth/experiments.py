@@ -26,8 +26,6 @@ from .errors import (
 from .graph import (
     Graph,
     barabasi_albert,
-    constant_unit_vector,
-    gcn_dominant_eigenvector,
     is_connected,
     sym_norm_adjacency,
 )
@@ -38,6 +36,7 @@ from .propagate import (
     Activation,
     PropagationConfig,
     WeightScheme,
+    _direction,
     identity_weights,
     leaky_relu,
     rollout,
@@ -188,10 +187,6 @@ def run_grid_cell(row: SynthRow, config: SynthConfig, seed_index: int) -> tuple[
     row_index = GRID_ROW_NAMES.index(row.name)
     cell_seed = subseed(subseed(config.base_seed, row_index), seed_index)
     g = barabasi_albert(config.n, config.m, subseed(cell_seed, 0))
-    if row.arch == "gcn":
-        u = gcn_dominant_eigenvector(g)
-    else:
-        u = constant_unit_vector(g.n)
     prop = PropagationConfig(
         graph=g,
         width=config.width,
@@ -201,7 +196,7 @@ def run_grid_cell(row: SynthRow, config: SynthConfig, seed_index: int) -> tuple[
         weights=row.weights,
         seed=subseed(cell_seed, 1),
     )
-    return metric_suite(rollout(prop).features, g, u)
+    return metric_suite(rollout(prop).features, g, _direction(row.arch, g))
 
 
 def synth_table(config: SynthConfig | None = None) -> SynthGrid:
@@ -315,13 +310,15 @@ def rate_check_matrix(
     Runs a linear rollout ``x -> a x w`` (features renormalized each layer;
     the tracked ratio ignores scale), records
     ``r_l = ||x - u u^T x||_F / ||u u^T x||_F`` against the dominant unit
-    direction ``u`` of ``a``, and fits ``log r_l`` by least squares over the
-    final half of the layers. The fitted ``exp(slope)`` should match the
-    spectral gap of ``a`` at any scale of ``a``. Weights are uniform on
-    ``[-1, 1)``, redrawn while ``|det| < 1e-8`` so no layer loses rank. The
-    loop runs on ``a`` divided by ``pow2_scale(a)``, an exact division that
-    cancels in the renormalization and keeps every layer in range at any
-    magnitude of ``a``.
+    direction ``u`` of ``a`` until it falls below 1e-12, the precision of
+    ``u``, and fits ``log r_l`` by least squares over the last half of the
+    recorded layers; ``depth`` is only an upper bound. The fitted
+    ``exp(slope)`` should match the spectral gap of ``a`` at any scale of
+    ``a``; an exact zero ratio is instant alignment, rate 0. Weights are
+    uniform on ``[-1, 1)``, redrawn while ``|det| < 1e-8`` so no layer
+    loses rank. The loop runs on ``a`` divided by ``pow2_scale(a)``, an
+    exact division that cancels in the renormalization and keeps every
+    layer in range at any magnitude of ``a``.
     """
     a = as_square_matrix(a, "propagation matrix")
     require_positive_int(width, "width")
@@ -361,18 +358,17 @@ def rate_check_matrix(
         if r == 0.0:
             ratios.append(0.0)
             break
-        if r < 1e-290:
+        if r < 1e-12:
+            # Below the precision of u the ratio is rounding noise, not decay.
             break
         ratios.append(r)
+    fit_stop = len(ratios) - 1
     if ratios[-1] == 0.0:
         # Perfect alignment: the decay is instantaneous, not geometric.
-        return RateReport(0.0, predicted, tuple(ratios), len(ratios) - 1, len(ratios) - 1)
-    fit_start = depth // 2
-    fit_stop = len(ratios) - 1
-    if fit_stop - fit_start < 1:
-        raise RatioUnderflow(
-            f"ratios underflowed by layer {fit_stop}; no fit window past layer {fit_start}"
-        )
+        return RateReport(0.0, predicted, tuple(ratios), fit_stop, fit_stop)
+    if fit_stop == 0:
+        raise RatioUnderflow("off-direction ratio fell below 1e-12 by layer 1; nothing to fit")
+    fit_start = fit_stop // 2
     ls = np.arange(fit_start, fit_stop + 1, dtype=np.float64)
     ys = np.log(np.asarray(ratios[fit_start : fit_stop + 1]))
     lc = ls - ls.mean()

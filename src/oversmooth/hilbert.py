@@ -42,10 +42,6 @@ def _log_span(x: np.ndarray, y: np.ndarray, axis: int | None = None):
         r = x / y
     normal = (r >= sys.float_info.min) & (r <= sys.float_info.max)
     if normal.all():
-        # numpy's SIMD log and math.log can differ in the last bit: the span
-        # of a vector keeps math.log's, the spans of columns numpy's.
-        if axis is None:
-            return math.log(float(r.max())) - math.log(float(r.min()))
         return np.log(r.max(axis)) - np.log(r.min(axis))
     logs = np.where(normal, np.log(np.where(normal, r, 1.0)), np.log(x) - np.log(y))
     return logs.max(axis) - logs.min(axis)

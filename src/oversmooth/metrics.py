@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     AllEdgesSkipped,
-    InvalidParameter,
     NoEdges,
     NonpositiveEigenvector,
     NonUnitVector,
@@ -126,11 +125,6 @@ def _check_direction(u, n: int, unit: bool = False, nonzero: bool = False) -> np
     return u
 
 
-def _check_exponent(proj_exponent: int) -> None:
-    if proj_exponent not in (1, 2):
-        raise InvalidParameter(f"proj_exponent must be 1 or 2, got {proj_exponent}")
-
-
 # Kernels. They take a C-contiguous (L, n, w) stack of prescaled layers,
 # validate nothing and return one value per layer. Every per-layer sum runs
 # over one contiguous row in C order, so a layer gets the same bits alone as
@@ -221,13 +215,6 @@ def _e_proj(xs: np.ndarray, u: np.ndarray):
     return _matrix_sums(resid)
 
 
-def _normalized(e_dir: float, e_proj: float, f2: float, scale: float,
-                proj_exponent: int) -> tuple[float, float]:
-    if proj_exponent == 2:
-        return e_dir / f2, e_proj / f2
-    return e_dir / f2, (e_proj / math.sqrt(f2)) * scale
-
-
 def _rank_proxies(sv: np.ndarray, bound: float) -> tuple[float, float, float, float]:
     # (num_rank, stable_rank, erank, s_1) from the descending singular values
     # of one nonzero prescaled matrix, each rank clamped into [1, bound].
@@ -248,7 +235,7 @@ def _rank_proxies(sv: np.ndarray, bound: float) -> tuple[float, float, float, fl
     )
 
 
-def _suite(x: np.ndarray, g: Graph, u: np.ndarray, proj_exponent: int) -> list[MetricReport]:
+def _suite(x: np.ndarray, g: Graph, u: np.ndarray) -> list[MetricReport]:
     # Every kernel once over the stack x; only the scalar tail (rank
     # proxies, MAD mean, unscaling) runs per layer.
     xs, scale, f2 = _prescale(x)
@@ -262,7 +249,7 @@ def _suite(x: np.ndarray, g: Graph, u: np.ndarray, proj_exponent: int) -> list[M
         s, f, k = float(scale[layer]), float(f2[layer]), int(kept[layer])
         ed, ep = float(e_dir[layer]), float(e_proj[layer])
         if f > 0.0:
-            e_dir_norm, e_proj_norm = _normalized(ed, ep, f, s, proj_exponent)
+            e_dir_norm, e_proj_norm = ed / f, ep / f
             num_rank, stable, erank, _ = _rank_proxies(sv[layer], bound)
         else:
             e_dir_norm = e_proj_norm = num_rank = stable = erank = None
@@ -311,21 +298,17 @@ def projection_energy(x, u) -> float:
     return _unscale_energy(float(_e_proj(xs, u)[0]), scale)
 
 
-def normalized_energies(x, g: Graph, u, proj_exponent: int = 2) -> tuple[float, float]:
+def normalized_energies(x, g: Graph, u) -> tuple[float, float]:
     """Scale-normalized energy pair ``(e_dir, e_proj) / ||x||_F^2``.
 
-    ``proj_exponent=1`` divides the projection energy by ``||x||_F`` instead;
-    the default squared denominator is the scale-invariant choice. Both
-    ratios are evaluated on a power-of-two scaled copy, so they stay finite
-    even when the raw energies overflow.
+    Both ratios are evaluated on a power-of-two scaled copy, so they stay
+    finite even when the raw energies overflow.
     """
-    _check_exponent(proj_exponent)
-    xs, scale, f2 = _one_layer(x, g.n)
+    xs, _, f2 = _one_layer(x, g.n)
     u = _check_direction(u, g.n, unit=True, nonzero=True)
     if f2 == 0.0:
         raise ZeroMatrix("normalized energies are undefined for a zero matrix")
-    e_dir, e_proj = float(_e_dir(xs, g, u)[0]), float(_e_proj(xs, u)[0])
-    return _normalized(e_dir, e_proj, f2, scale, proj_exponent)
+    return float(_e_dir(xs, g, u)[0]) / f2, float(_e_proj(xs, u)[0]) / f2
 
 
 def mad(x, g: Graph) -> float:
@@ -367,7 +350,7 @@ def effective_rank(x) -> float:
     return _nonzero_rank_proxies(x, "effective rank")[2]
 
 
-def metric_suite(x, g: Graph, u, proj_exponent: int = 2):
+def metric_suite(x, g: Graph, u):
     """Evaluate every metric once, sharing the singular value computation.
 
     ``x`` is one ``(n, w)`` feature matrix, which gives one MetricReport, or
@@ -377,7 +360,6 @@ def metric_suite(x, g: Graph, u, proj_exponent: int = 2):
     norm with nonzero entries. Degenerate cases become ``None`` markers
     rather than exceptions; see MetricReport.
     """
-    _check_exponent(proj_exponent)
     x = _features(x, g.n, stack=True)
     u = _check_direction(u, g.n, unit=True, nonzero=True)
     stack = x if x.ndim == 3 else x[None]
@@ -385,7 +367,7 @@ def metric_suite(x, g: Graph, u, proj_exponent: int = 2):
     step = max(1, _CHUNK_ELEMENTS // (max(g.edge_arrays[0].shape[0], n) * w))
     reports = []
     for start in range(0, stack.shape[0], step):
-        reports += _suite(stack[start:start + step], g, u, proj_exponent)
+        reports += _suite(stack[start:start + step], g, u)
     return reports[0] if x.ndim == 2 else tuple(reports)
 
 

@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import math
 import mmap
-import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .graph import CsrOperator, Graph, sym_norm_adjacency
-from .rng import Xoshiro256pp
+from .graph import (
+    CsrOperator,
+    Graph,
+    constant_unit_vector,
+    gcn_dominant_eigenvector,
+    sym_norm_adjacency,
+)
+from .rng import Xoshiro256pp, _uniform_span
 from .validation import as_matrix, as_square_matrix, as_vector, require_positive_int
 
 # Feature magnitudes above this truncate a rollout.
@@ -89,21 +95,19 @@ class WeightScheme:
                 "weight scheme must be 'identity', 'uniform_nonneg' or 'uniform_signed', "
                 f"got {self.kind!r}"
             )
-        # Compared, not converted: an int beyond the float range is rejected too.
-        if self.kind != "identity" and not 0.0 < self.scale <= sys.float_info.max:
-            raise InvalidParameter(f"scale must be finite and > 0, got {self.scale}")
-        if self.kind == "uniform_signed" and not self.scale <= sys.float_info.max / 2.0:
-            raise InvalidParameter(
-                f"signed scale {self.scale} spans a width 2 * scale beyond the float range"
-            )
+        if self.kind != "identity":
+            _uniform_span(self._low(), self.scale)
+
+    def _low(self):
+        # The lower bound of every draw; the upper one is ``scale``.
+        return 0.0 if self.kind == "uniform_nonneg" else -self.scale
 
     def sample_vector(self, rng: Xoshiro256pp, length: int) -> np.ndarray:
         # The identity scheme has no distribution to draw from; vector
         # parameters (bias, attention) degrade to zero.
         if self.kind == "identity":
             return np.zeros(length)
-        low = 0.0 if self.kind == "uniform_nonneg" else -self.scale
-        return rng.fill(length, low, self.scale)
+        return rng.fill(length, self._low(), self.scale)
 
 
 def identity_weights() -> WeightScheme:
@@ -120,7 +124,8 @@ def uniform_signed(scale: float = 1.0) -> WeightScheme:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Full description of one deterministic rollout."""
+    """Full description of one deterministic rollout. GAT scores use the
+    fixed slope ``gat_leaky_alpha`` of Veličković et al. (ICLR 2018)."""
 
     graph: Graph
     width: int
@@ -132,7 +137,7 @@ class PropagationConfig:
     use_bias: bool = False
     use_residual: bool = False
     init: np.ndarray | None = None
-    gat_leaky_alpha: float = 0.2
+    gat_leaky_alpha: ClassVar[float] = 0.2
 
     def __post_init__(self):
         if self.arch not in ("gcn", "gat"):
@@ -140,7 +145,6 @@ class PropagationConfig:
         require_positive_int(self.depth, "depth")
         require_positive_int(self.width, "width")
         require_positive_int(self.seed, "seed", None)
-        Activation("leaky_relu", self.gat_leaky_alpha)  # checks the attention slope
         if self.init is not None:
             x0 = as_matrix(self.init, "init features")
             if x0.shape != (self.graph.n, self.width):
@@ -203,7 +207,8 @@ def gcn_layer(a, x, w, activation: Activation, bias=None, residual=None) -> np.n
     return h
 
 
-def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarray:
+def gat_attention(x, w, p1, p2, g: Graph,
+                  leaky_alpha: float = PropagationConfig.gat_leaky_alpha) -> np.ndarray:
     """Row-stochastic attention over closed neighborhoods, as a dense matrix.
 
     Scores are ``leaky_relu(p1 . z_i + p2 . z_j)`` with ``z = x w``, computed
@@ -230,6 +235,13 @@ def gat_attention(x, w, p1, p2, g: Graph, leaky_alpha: float = 0.2) -> np.ndarra
     shifted = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
     weights = shifted / np.add.reduceat(shifted, starts)[rows]
     return np.asarray(CsrOperator(rows, indptr, cols, weights))
+
+
+def _direction(arch: str, g: Graph) -> np.ndarray:
+    # The unit direction a rollout of ``arch`` collapses toward: the GCN
+    # operator's dominant eigenvector, or the constant vector that every
+    # row-stochastic attention matrix fixes.
+    return gcn_dominant_eigenvector(g) if arch == "gcn" else constant_unit_vector(g.n)
 
 
 def _layer_shapes(config: PropagationConfig) -> tuple:
@@ -298,7 +310,7 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
             params, start = _slice_layer(block, start, shapes)
         w, bias, p1, p2, w_res = params
         if config.arch == "gat":
-            a = gat_attention(x, w, p1, p2, g, config.gat_leaky_alpha)
+            a = gat_attention(x, w, p1, p2, g)
         else:
             a = fixed_a
         residual = (features[0], w_res) if config.use_residual else None

@@ -12,7 +12,7 @@ the cause.
 from __future__ import annotations
 
 import ctypes
-import math
+import sys
 
 import numpy as np
 
@@ -45,6 +45,19 @@ void xoshiro_fill(uint64_t *state, double *out, int64_t count, double low, doubl
         state[k] = s[k];
 }
 """
+
+
+def _uniform_span(low, high) -> float:
+    # The width of the draw range [low, high): both bounds inside the float
+    # range with high > low, compared before any conversion so that an int
+    # beyond the float range is rejected too, and a finite high - low.
+    big = sys.float_info.max
+    if not (-big <= low < high <= big and high - low <= big):
+        raise InvalidParameter(
+            f"uniform draws need finite bounds high > low with a finite width, "
+            f"got [{low}, {high})"
+        )
+    return float(high - low)
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -111,11 +124,7 @@ class Xoshiro256pp:
         bit for bit in the C kernel and in ``_fill_python``. ``low``, ``high``
         and the width ``high - low`` must be finite, with ``high > low``."""
         count = require_positive_int(count, "fill count", 0)
-        span = float(high - low)
-        if not (math.isfinite(low) and 0.0 < span < math.inf):
-            raise InvalidParameter(
-                f"fill needs finite bounds high > low with a finite width, got [{low}, {high})"
-            )
+        span = _uniform_span(low, high)
         out = np.empty(count, dtype=np.float64)
         self._s = _fill_loop()(self._s, out, float(low), span)
         return out

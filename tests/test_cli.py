@@ -203,6 +203,16 @@ def test_rollout_trace_is_deterministic(tmp_path, capsys):
     assert lines[0].startswith("layer,e_dir,")
 
 
+def test_rollout_truncation_is_reported_and_the_recorded_layers_written(tmp_path, capsys):
+    # Weights up to 1e60 push the features past OVERFLOW_LIMIT at layer 5.
+    code = main(["rollout", "--ba", "10,2", "--weights", "uniform-nonneg", "--scale", "1e60",
+                 "--depth", "20", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == "truncated at layer 5\n"
+    lines = (tmp_path / "trace_gcn_0.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
 def test_rollout_graph_source_is_exclusive(tmp_path):
     with pytest.raises(SystemExit):
         main([

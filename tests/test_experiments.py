@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oversmooth import experiments, metrics
-from oversmooth.errors import DisconnectedGraph, InvalidParameter, SeriesTooShort
+from oversmooth.errors import DisconnectedGraph, InvalidParameter, RatioUnderflow, SeriesTooShort
 from oversmooth.experiments import (
     DECAY_WINDOW,
     ENERGY_FLOOR,
@@ -28,6 +28,7 @@ from oversmooth.experiments import (
 )
 from oversmooth.graph import Graph, barabasi_albert, sym_norm_adjacency
 from oversmooth.metrics import CANONICAL_METRICS, metric_suite
+from oversmooth.rng import subseed
 
 
 def test_energy_series_decays_with_crossing_layer():
@@ -237,6 +238,11 @@ def test_rate_check_matrix_fit_window_invariants():
     normal = rate_check_matrix(np.diag([1.0, 0.5]), width=1, depth=12)
     assert normal.fit_stop - normal.fit_start >= 1
     assert normal.fit_stop == len(normal.ratios) - 1
+    # Layer 1's ratio is about 1e-20, below the 1e-12 floor: nothing to fit.
+    # Squared, the residual used to reach an exact 0 a few layers later,
+    # which read as instant alignment.
+    with pytest.raises(RatioUnderflow, match="layer 1"):
+        rate_check_matrix(np.diag([1.0, 1e-20]), width=1, depth=40)
 
 
 def test_rate_check_matrix_validation():
@@ -275,7 +281,7 @@ def test_rate_check_solves_one_eigenproblem(monkeypatch):
 
 def test_rate_check_on_graph_matches_gap():
     # Depth is chosen so gap^depth stays well above the ~1e-12 precision of
-    # the fitted dominant direction; deeper fits flatten into that floor.
+    # the fitted dominant direction, where the recorded series stops.
     # At width 1 the scalar weights cancel, leaving power iteration on one
     # start vector. Seed 0's has a generic second-eigenvector component;
     # seed 4's is 2e-4 of its first, so the third eigenvalue still steers
@@ -286,6 +292,17 @@ def test_rate_check_on_graph_matches_gap():
     assert_allclose(clean.measured_rate, clean.predicted_rate, rtol=1e-3)
     noisy = rate_check(g, width=16, depth=30, seed=4)
     assert_allclose(noisy.measured_rate, noisy.predicted_rate, rtol=0.1)
+
+
+def test_rate_check_at_the_cli_defaults_stops_at_the_precision_of_u():
+    # `rate --ba 20,2`: from about layer 100 on, the ratio sits near 1.4e-15,
+    # and a window fixed at depth // 2 .. depth fitted that rounding floor
+    # as a rate of 0.9966 against a gap of 0.756.
+    g = barabasi_albert(20, 2, subseed(0, 0))
+    report = rate_check(g, 32, 200, subseed(0, 1))
+    assert min(report.ratios) >= 1e-12
+    assert report.fit_stop < 200 and report.fit_start == report.fit_stop // 2
+    assert_allclose(report.measured_rate, report.predicted_rate, rtol=0.02)
 
 
 def test_rate_check_refuses_a_disconnected_graph():

@@ -524,6 +524,9 @@ def test_grf_earliest_faulty_line_is_reported(tmp_path):
         ("grf 1 3 2\n1 1\n0 x\n", 2, "self-loop"),
         ("grf 1 3 2\n0 x\n1 1\n", 2, "expected integers"),
         ("grf 1 3 1\n2 1\n0 1\n", 2, "i < j"),
+        # beyond intp, so the endpoints are checked as exact ints
+        ("grf 1 3 1\n0 99999999999999999999999\n", 2,
+         "edge (0, 99999999999999999999999) out of range for n=3"),
     ]
     p = tmp_path / "bad.grf"
     for text, lineno, words in cases:

@@ -124,6 +124,10 @@ def test_contraction_ratio_rejects_non_fixed_direction():
     a = np.array([[0.0, 1.0], [0.5, 0.5]])
     with pytest.raises(EigenvectorMismatch):
         contraction_ratio(a, [2.0, 1.0], samples=10)
+    # a u is 1e-400 in each row, an exact 0 in floats: without the check the
+    # log of its largest entry raised ValueError.
+    with pytest.raises(EigenvectorMismatch, match=r"eigenvalue 0\.0 <= 0"):
+        contraction_ratio([[0.0, 1e-200], [0.0, 1e-200]], [1.0, 1e-200], samples=10)
 
 
 def test_contraction_ratio_checks_the_direction_at_any_scale():

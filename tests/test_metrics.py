@@ -107,18 +107,6 @@ def test_normalized_energies_scale_invariant():
     assert_allclose(a, b, rtol=1e-10)
 
 
-def test_normalized_energies_proj_exponent_one():
-    g = barabasi_albert(9, 2, seed=2)
-    u = gcn_dominant_eigenvector(g)
-    x = Xoshiro256pp(5).matrix(9, 4, -1.0, 1.0)
-    f2 = float(np.sum(x * x))
-    _, p2 = normalized_energies(x, g, u, proj_exponent=2)
-    _, p1 = normalized_energies(x, g, u, proj_exponent=1)
-    assert_allclose(p1, p2 * math.sqrt(f2), rtol=1e-12)
-    with pytest.raises(InvalidParameter):
-        normalized_energies(x, g, u, proj_exponent=3)
-
-
 def test_normalized_energies_zero_matrix_raises():
     with pytest.raises(ZeroMatrix):
         normalized_energies(np.zeros((2, 1)), edge2(), [0.6, 0.8])
@@ -219,6 +207,8 @@ def test_rank_proxies_zero_matrix_raises():
     for fn in (numerical_rank, stable_rank, effective_rank):
         with pytest.raises(ZeroMatrix):
             fn(np.zeros((3, 2)))
+    with pytest.raises(ZeroMatrix):
+        numrank_upper_bound_check(np.zeros((3, 2)), constant_unit_vector(3))
 
 
 def test_metric_suite_matches_standalone_functions():

@@ -623,6 +623,23 @@ def test_correlate_reports_undefined_metrics(tmp_path):
     assert report.failures["e_proj"] == "infinite at depth 6"
 
 
+def test_correlate_reports_constant_sequences(tmp_path):
+    # Rank-one runs along the direction itself: every metric takes the same
+    # (clamped) value at every depth, so none has a correlation.
+    g = barabasi_albert(3, 2, seed=0)
+    u = constant_unit_vector(3)
+    manifests = []
+    for k in range(3):
+        write_matrix((k + 1) * np.outer(u, [1.0, 2.0, 3.0, 4.0]), tmp_path / f"x{k}.dmat")
+        payload = {"depth": k + 1, "accuracy": 0.9 - 0.2 * k, "layer_paths": [f"x{k}.dmat"],
+                   "arch_label": "gcn", "u_source": "const"}
+        manifests.append(read_manifest(write_manifest(tmp_path / f"run{k}.json", payload)))
+    report = correlate(manifests, g)
+    assert all(report.correlations[metric] is None for metric in CANONICAL_METRICS)
+    assert set(report.failures.values()) == {"constant sequence has no correlation"}
+    assert set(report.failures) == set(CANONICAL_METRICS)
+
+
 def test_correlate_resolves_each_direction_source_once(tmp_path, monkeypatch):
     g = barabasi_albert(40, 2, seed=3)
     u = gcn_dominant_eigenvector(g)

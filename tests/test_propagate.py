@@ -211,6 +211,8 @@ def test_gat_attention_validation():
         gat_attention(np.ones((3, 1)), [[1.0]], [0.0], [0.0], edge2())
     with pytest.raises(ShapeMismatch):
         gat_attention(np.ones((2, 1)), [[1.0]], [0.0, 0.0], [0.0], edge2())
+    with pytest.raises(ShapeMismatch):
+        gat_attention(np.ones((2, 3)), np.eye(2), [0.0, 0.0], [0.0, 0.0], edge2())
     with pytest.raises(InvalidParameter):
         gat_attention(np.ones((2, 1)), [[1.0]], [0.0], [0.0], edge2(), leaky_alpha=0.0)
 
@@ -227,8 +229,6 @@ def test_config_validation():
         PropagationConfig(graph=g, width=True, depth=1)
     with pytest.raises(InvalidParameter):
         PropagationConfig(graph=g, width=2, depth=True)
-    with pytest.raises(InvalidParameter):
-        PropagationConfig(graph=g, width=2, depth=1, gat_leaky_alpha=1.5)
     with pytest.raises(ShapeMismatch):
         PropagationConfig(graph=g, width=2, depth=1, init=np.ones((3, 2)))
     for seed in (2.5, "1", None, True):

@@ -207,6 +207,8 @@ def test_parameter_validation():
 @pytest.mark.parametrize("low, high", [
     (-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf),
     (math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
+    pytest.param(0, 10**400, id="int-high-beyond-float"),
+    pytest.param(-10**400, 0, id="int-low-beyond-float"),
 ])
 def test_fill_rejects_bounds_without_a_finite_width(low, high):
     # high - low must be finite too: an overflowing width would give inf
