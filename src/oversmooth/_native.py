@@ -10,7 +10,9 @@ A module's loader builds its kernel, wraps it, checks it against the
 specification and raises ``NoKernel`` naming why it is unusable. ``kernel``
 turns that loader into this process's cached choice: the wrapped kernel, or
 on ``NoKernel`` the fallback, after one RuntimeWarning naming the kernel and
-the cause. ``cache_clear()`` on the choice makes the next call choose afresh.
+the cause. Every fallback is a Python function called like the kernel it
+replaces, so a caller calls the choice without asking which one it got.
+``cache_clear()`` on the choice makes the next call choose afresh.
 
 The kernels are the xoshiro256++ fill (``rng``), the preferential-attachment
 loop and the ``CsrOperator`` product (``graph``) and the ``.dmat`` parser

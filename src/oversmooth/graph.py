@@ -304,12 +304,10 @@ class CsrOperator:
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ShapeMismatch(f"operator is {self.shape[0]}x{self.shape[1]}, operand has "
                                 f"shape {x.shape}")
-        # Float64 products on a well-formed operator run in C, when this
-        # process has the kernel; the rest run the specification.
+        # Float64 products on a well-formed operator go to the kernel choice,
+        # C when this process has it; the rest run the specification.
         if x.dtype == np.float64 and self._addresses is not None:
-            product = _csr_kernel()
-            if product is not None:
-                return product(self._addresses, np.ascontiguousarray(x))
+            return _csr_kernel()(self, np.ascontiguousarray(x))
         return _csr_reduceat(self, x)
 
     @cached_property
@@ -340,18 +338,14 @@ class CsrOperator:
 
 def _csr_reduceat(op: CsrOperator, x: np.ndarray) -> np.ndarray:
     """``op @ x``, C-ordered: the product's specification, which the C kernel
-    matches bit for bit.
+    matches bit for bit, and the kernel's fallback.
 
     One contiguous row of terms ``x * data`` per column of ``x``, each summed
     segment by segment into a column of the result. reduceat adds every
     segment as ``t0 + pairwise(t1..)`` along whatever stride it has, so the
     bits are those of the row-major ``data[:, None] * x[indices]`` form.
     """
-    terms = x.T.take(op.indices, axis=-1)
-    if terms.dtype == op.data.dtype:
-        terms *= op.data
-    else:
-        terms = terms * op.data
+    terms = x.T.take(op.indices, axis=-1) * op.data
     out = np.empty(x.shape, terms.dtype)
     np.add.reduceat(terms, op.indptr[:-1], axis=-1, out=out.T)
     return out
@@ -413,17 +407,16 @@ void csr_matmul(int64_t n, const intptr_t *indptr, const intptr_t *indices, cons
 _CSR_PROBE_ROWS = (1, 2, 7, 8, 9, 16, 17, 129, 130, 300)
 
 
-@kernel("CSR product", None)
+@kernel("CSR product", _csr_reduceat)
 def _csr_kernel():
-    """The C product, built and checked against ``_csr_reduceat``; its
-    fallback None leaves every product to ``_csr_reduceat``."""
+    """The C product, built and checked against ``_csr_reduceat``."""
     proto = ctypes.CFUNCTYPE(None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
     fn = load_function("csr_matmul", _CSR_SOURCE, proto)
 
-    def product_c(addresses: tuple[int, int, int, int], x: np.ndarray) -> np.ndarray:
+    def product_c(op: CsrOperator, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape)
-        fn(*addresses, 1 if x.ndim == 1 else x.shape[1], x.ctypes.data, out.ctypes.data)
+        fn(*op._addresses, 1 if x.ndim == 1 else x.shape[1], x.ctypes.data, out.ctypes.data)
         return out
 
     n = len(_CSR_PROBE_ROWS)
@@ -438,7 +431,7 @@ def _csr_kernel():
     x[:, 1] = -0.0
     for operand in (x, x[:, 0]):
         operand = np.ascontiguousarray(operand)
-        if product_c(op._addresses, operand).tobytes() != _csr_reduceat(op, operand).tobytes():
+        if product_c(op, operand).tobytes() != _csr_reduceat(op, operand).tobytes():
             raise NoKernel("self-check mismatch: the C product differs from np.add.reduceat")
     return product_c
 

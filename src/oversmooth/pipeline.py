@@ -265,10 +265,13 @@ _DMAT_PROBE = (
 )
 
 
-@kernel(".dmat parser", None)
+def _vouch_for_none(data: bytes, start: int, rows: int, cols: int) -> None:
+    """The parser's fallback: it vouches for no file, leaving each to ``_load_dmat``."""
+
+
+@kernel(".dmat parser", _vouch_for_none)
 def _dmat_kernel():
-    """The C body walk, built and checked against ``_load_dmat``; its
-    fallback None leaves every file to ``_load_dmat``."""
+    """The C body walk, built and checked against ``_load_dmat``."""
     proto = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     fn = load_function("dmat_parse", _DMAT_SOURCE.replace("POW5_TABLE", _pow5_table()), proto)
@@ -303,8 +306,7 @@ def _parse_dmat_fast(data: bytes) -> np.ndarray | None:
         rows, cols = parse_header(head.decode("ascii"), "dmat 1 <rows> <cols>", (1, 1))
     except ParseError:
         return None
-    parse = _dmat_kernel()
-    return None if parse is None else parse(data, newline + 1, rows, cols)
+    return _dmat_kernel()(data, newline + 1, rows, cols)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -274,10 +274,10 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     """Run a configured propagation and record every layer.
 
     Every state is written into one preallocated ``(depth+1, n, w)``
-    buffer. ``metric_hook(features)`` is evaluated on the input and after
-    every layer; its results land in ``LayerTrace.reports``. Any layer
-    output with an entry above ``OVERFLOW_LIMIT`` (or non-finite) truncates
-    the rollout.
+    buffer. A layer output with an entry above ``OVERFLOW_LIMIT`` (or
+    non-finite), or a GAT attention that is not finite, truncates the
+    rollout. After the loop, ``metric_hook`` runs once per recorded layer,
+    input first, into ``LayerTrace.reports``.
     """
     g = config.graph
     rng = Xoshiro256pp(config.seed)
@@ -292,7 +292,6 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
     else:
         features[0] = config.init
     x = features[0]
-    reports = [metric_hook(x)] if metric_hook is not None else None
     fixed_a = sym_norm_adjacency(g) if config.arch == "gcn" else None
     scheme, shapes = config.weights, _layer_shapes(config)
     if scheme.kind == "identity":
@@ -310,24 +309,23 @@ def rollout(config: PropagationConfig, metric_hook=None) -> LayerTrace:
             params, start = _slice_layer(block, start, shapes)
         w, bias, p1, p2, w_res = params
         if config.arch == "gat":
-            a = gat_attention(x, w, p1, p2, g)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = gat_attention(x, w, p1, p2, g)
         else:
             a = fixed_a
         residual = (features[0], w_res) if config.use_residual else None
-        x_next = gcn_layer(a, x, w, config.activation, bias, residual)
+        try:
+            x_next = gcn_layer(a, x, w, config.activation, bias, residual)
+        except InvalidParameter:  # only a GAT attention can be non-finite: its scores overflowed
+            x_next = None
         # Released here, so that the next layer's n x n attention is not
         # built while this one is still alive.
         del a
         # NaN fails the comparison and inf exceeds the limit: one reduction.
-        if not np.maximum.reduce(np.abs(x_next), axis=None) <= OVERFLOW_LIMIT:
+        if x_next is None or not np.maximum.reduce(np.abs(x_next), axis=None) <= OVERFLOW_LIMIT:
             truncated_at = layer + 1
             break
         x = features[layer + 1] = x_next
-        if reports is not None:
-            reports.append(metric_hook(x))
-    return LayerTrace(
-        config=config,
-        features=features[: truncated_at or config.depth + 1],
-        reports=None if reports is None else tuple(reports),
-        truncated_at=truncated_at,
-    )
+    features = features[: truncated_at or config.depth + 1]
+    reports = None if metric_hook is None else tuple(map(metric_hook, features))
+    return LayerTrace(config, features, reports, truncated_at)

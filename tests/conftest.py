@@ -107,6 +107,13 @@ def _garbage_library(monkeypatch, tmp_path, kernel):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
+def _open_cache(monkeypatch, tmp_path, kernel):
+    # A directory others may write to could hand this process their library.
+    cache = tmp_path / "cache" / "oversmooth"
+    cache.mkdir(parents=True)
+    cache.chmod(0o777)
+
+
 # Each cause, as the words its warning must contain, and how to bring it
 # about: (monkeypatch, tmp_path, kernel) -> None.
 FALLBACK_CAUSES = {
@@ -116,6 +123,7 @@ FALLBACK_CAUSES = {
     "timed out": lambda mp, tmp, k: mp.setattr(_native, "_COMPILE_TIMEOUT_S", 1e-6),
     "load error": _garbage_library,
     "self-check mismatch": lambda mp, tmp, k: k.edit(mp, k.wrong),
+    "writable by others": _open_cache,
 }
 
 

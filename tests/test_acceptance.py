@@ -212,8 +212,9 @@ def test_deep_rollouts_collapse_numerical_rank(acceptance):
         weights=uniform_signed(1.0),
         seed=52,
     )
-    trace = rollout(cfg, metric_hook=lambda x: metric_suite(x, g, u))
-    linear_gap = trace.reports[-1].num_rank - 1.0
+    trace = rollout(cfg)
+    reports = metric_suite(trace.features, g, u)
+    linear_gap = reports[-1].num_rank - 1.0
 
     g2 = barabasi_albert(10, 2, seed=61)
     u2 = constant_unit_vector(g2.n)
@@ -228,10 +229,11 @@ def test_deep_rollouts_collapse_numerical_rank(acceptance):
         seed=62,
         init=x0,
     )
-    trace2 = rollout(cfg2, metric_hook=lambda x: metric_suite(x, g2, u2))
-    attn_gap = trace2.reports[-1].num_rank - 1.0
-    frob_first = trace2.reports[0].frob_norm
-    frob_last = trace2.reports[-1].frob_norm
+    trace2 = rollout(cfg2)
+    reports2 = metric_suite(trace2.features, g2, u2)
+    attn_gap = reports2[-1].num_rank - 1.0
+    frob_first = reports2[0].frob_norm
+    frob_last = reports2[-1].frob_norm
     ok = (
         trace.truncated_at is None
         and trace2.truncated_at is None

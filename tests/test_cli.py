@@ -213,6 +213,16 @@ def test_rollout_truncation_is_reported_and_the_recorded_layers_written(tmp_path
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
+def test_gat_rollout_truncates_where_its_attention_overflows(tmp_path, capsys):
+    # The same overflow as the GCN run above, reached through non-finite attention scores.
+    code = main(["rollout", "--ba", "10,2", "--arch", "gat", "--weights", "uniform-nonneg",
+                 "--scale", "1e60", "--depth", "20", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == "truncated at layer 5\n"
+    lines = (tmp_path / "trace_gat_0.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
 def test_rollout_graph_source_is_exclusive(tmp_path):
     with pytest.raises(SystemExit):
         main([

@@ -86,6 +86,12 @@ def test_distance_domain_errors():
         hilbert_distance([1.0, 1.0], [-1.0, 1.0])
     with pytest.raises(ShapeMismatch):
         hilbert_distance([1.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ShapeMismatch, match="1-D"):
+        hilbert_distance([[1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(ShapeMismatch, match="nonempty"):
+        hilbert_distance([], [])
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        hilbert_distance([1.0, math.nan], [1.0, 1.0])
 
 
 def test_column_radius():
@@ -168,6 +174,8 @@ def test_contraction_ratio_parameter_validation():
     for samples in (0, 2.5, True):
         with pytest.raises(InvalidParameter):
             contraction_ratio(a, [1.0, 1.0], samples=samples)
+    with pytest.raises(ShapeMismatch, match="square"):
+        contraction_ratio(np.ones((2, 3)), [1, 1])
 
 
 def test_contraction_ratio_rejects_caps_that_overflow_a_sample():
@@ -223,3 +231,8 @@ def test_activation_line_check_rejects_non_finite_t():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter, match="finite"):
             activation_eigenvector_check(tanh(), [1.0, 2.0, 3.0], [t])
+
+
+def test_activation_line_check_skips_an_image_that_underflows_to_zero():
+    # t * u underflows to 0 and tanh(0) is 0: a zero image lies on every line.
+    assert activation_eigenvector_check(tanh(), [1e-300], [1e-300])

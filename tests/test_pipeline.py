@@ -147,6 +147,15 @@ def test_format_sniffing_and_forcing(tmp_path):
         load_matrix(tmp_path / "missing.dmat")
 
 
+def test_writes_the_os_refuses_raise_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write"):
+        write_matrix(np.ones((1, 1)), tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, not a directory")
+    with pytest.raises(IoError, match="cannot write"):
+        write_report(blocker / "out", traces={("gcn", 0): ()})
+
+
 # The C body walk of `.dmat` files must give `_load_dmat`'s bits for every
 # file it vouches for, and leave every other file to it.
 
@@ -272,7 +281,7 @@ def test_dmat_kernel_matches_python_reader(name, tmp_path):
     data = equivalence_cases()[name]
     want = pipeline._load_dmat(data.decode("ascii").split("\n"))
     kernel = pipeline._dmat_kernel()
-    assert kernel is not None
+    assert kernel is not pipeline._vouch_for_none
     got = kernel(data, data.index(b"\n") + 1, *want.shape)
     assert got is not None, "the kernel did not vouch for a file of float() literals"
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -312,7 +321,7 @@ def test_dmat_kernel_matches_python_reader_on_a_seeded_sweep():
     data = dmat_bytes([tokens[i:i + 40] for i in range(0, len(tokens), 40)])
     want = pipeline._load_dmat(data.decode("ascii").split("\n"))
     kernel = pipeline._dmat_kernel()
-    assert kernel is not None
+    assert kernel is not pipeline._vouch_for_none
     got = kernel(data, data.index(b"\n") + 1, *want.shape)
     assert got is not None and got.tobytes() == want.tobytes()
 
@@ -372,7 +381,7 @@ def test_dmat_outcome_is_the_same_with_the_kernel_off(name, tmp_path, monkeypatc
     path = tmp_path / "m.dmat"
     path.write_bytes(DEFERRAL_CASES[name])
     on = load_outcome(path)
-    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: None)
+    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: pipeline._vouch_for_none)
     assert load_outcome(path) == on
 
 
@@ -389,7 +398,7 @@ def test_dmat_header_counts_reserve_nothing_before_the_body(tmp_path, monkeypatc
 
     monkeypatch.setattr(np, "empty", spy)
     outcomes = [load_outcome(path)]
-    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: None)
+    monkeypatch.setattr(pipeline, "_dmat_kernel", lambda: pipeline._vouch_for_none)
     outcomes.append(load_outcome(path))
     assert outcomes == [("ParseError", "line 2: expected 3000000000 values, got 3", 2)] * 2
     assert max(requested, default=0) < 1000
@@ -407,7 +416,7 @@ def test_unusable_dmat_kernel_falls_back_with_one_warning(unusable_kernel, tmp_p
     assert len(record) == 1
     assert cause in str(record[0].message)
     assert record[0].filename == __file__
-    assert pipeline._dmat_kernel() is None
+    assert pipeline._dmat_kernel() is pipeline._vouch_for_none
     for got, m in zip(loaded, mats):
         assert got.tobytes() == m.tobytes()
 
@@ -428,7 +437,7 @@ def test_dmat_self_check_catches_a_wrong_fast_path(name, fresh_kernels, monkeypa
     assert pipeline._DMAT_SOURCE.count(old) == 1
     monkeypatch.setattr(pipeline, "_DMAT_SOURCE", pipeline._DMAT_SOURCE.replace(old, new))
     with pytest.warns(RuntimeWarning) as record:
-        assert pipeline._dmat_kernel() is None
+        assert pipeline._dmat_kernel() is pipeline._vouch_for_none
     assert len(record) == 1
     assert "self-check mismatch" in str(record[0].message)
 

@@ -26,7 +26,7 @@ from oversmooth.propagate import (
     uniform_nonneg,
     uniform_signed,
 )
-from oversmooth.rng import Xoshiro256pp
+from oversmooth.rng import Xoshiro256pp, subseed
 
 
 def edge2() -> Graph:
@@ -341,6 +341,20 @@ def test_rollout_truncates_at_the_same_layer_for_nan_inf_and_overflow(bad, monke
     trace = rollout(config)
     assert trace.truncated_at == 3
     assert len(trace.features) == 3
+    assert np.all(np.isfinite(trace.features))
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gat"])
+def test_rollout_truncates_where_the_features_overflow_for_both_architectures(arch):
+    # After 4 layers the features reach about 5e244: x w stays finite for GCN, but
+    # the GAT scores (x w) p overflow, so the attention is not finite. The
+    # suite turns any overflow warning into an error.
+    config = PropagationConfig(graph=barabasi_albert(10, 2, seed=subseed(0, 0)), width=32,
+                               depth=20, arch=arch, weights=uniform_nonneg(1e60),
+                               seed=subseed(0, 1))
+    trace = rollout(config)
+    assert trace.truncated_at == 5
+    assert trace.features.shape == (5, 10, 32)
     assert np.all(np.isfinite(trace.features))
 
 

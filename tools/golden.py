@@ -15,10 +15,11 @@ stdout and stderr, one ``exit=<code>  <command>`` line per command, and a
 last ``digest`` line over all of them. Two checkouts that print the same
 digest on one machine and numpy build wrote the same bytes.
 
-Every command must exit 0 with an empty stderr: a warning or a traceback
-names the checkout's absolute path, and a command that fails the same way
-on both trees proves nothing. Any that does not is named on a ``FAILED``
-line, and the script exits 1.
+Every command must exit 0 with an empty stderr, or with exactly the text
+``STDERR`` expects of it: a warning or a traceback names the checkout's
+absolute path, and a command that fails the same way on both trees proves
+nothing. Any that does not is named on a ``FAILED`` line, and the script
+exits 1.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ COMMANDS = {
                         "--out", "rollout_gat_300"],
     "rollout_gat_1000": ["rollout", "--ba", "1000,2", "--arch", "gat", "--depth", "10",
                          "--out", "rollout_gat_1000"],
+    "rollout_gat_overflow": ["rollout", "--ba", "10,2", "--arch", "gat", "--weights",
+                             "uniform-nonneg", "--scale", "1e60", "--depth", "20",
+                             "--out", "rollout_gat_overflow"],
     "rollout_bias_residual": ["rollout", "--graph", "inputs/g.grf", "--act", "tanh",
                               "--weights", "uniform-nonneg", "--scale", "0.1", "--bias",
                               "--residual", "--depth", "30", "--width", "16", "--seed", "2",
@@ -87,6 +91,9 @@ COMMANDS = {
     "contraction": ["contraction", "--matrix", "inputs/walk.dmat", "--u", "inputs/ones.dmat",
                     "--cap", "2.302585092994046", "--samples", "2000", "--seed", "2718"],
 }
+
+# The stderr a command must print, where it is not empty.
+STDERR = {"rollout_gat_overflow": b"truncated at layer 5\n"}
 
 MAIN = "import sys; from oversmooth.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -115,7 +122,8 @@ def _sha(data: bytes) -> str:
 
 def golden(src: Path) -> tuple[list[str], list[str]]:
     """The sorted hash and exit-code lines of one run of the command set, and
-    a ``FAILED`` line for each command that exited nonzero or wrote stderr."""
+    a ``FAILED`` line for each command that exited nonzero or wrote other
+    stderr than ``STDERR`` expects."""
     env = _env(src)
     entries = []
     failed = []
@@ -129,7 +137,7 @@ def golden(src: Path) -> tuple[list[str], list[str]]:
             entries.append((f"{name}.stdout", f"{_sha(done.stdout)}  {name}.stdout"))
             entries.append((f"{name}.stderr", f"{_sha(done.stderr)}  {name}.stderr"))
             entries.append((f"{name}.exit", f"exit={done.returncode}  {name}"))
-            if done.returncode != 0 or done.stderr:
+            if done.returncode != 0 or done.stderr != STDERR.get(name, b""):
                 failed.append(f"FAILED  {name}: exit={done.returncode}, "
                               f"{len(done.stderr)} bytes of stderr")
         for path in root.rglob("*"):
