@@ -15,8 +15,9 @@ replaces, so a caller calls the choice without asking which one it got.
 ``cache_clear()`` on the choice makes the next call choose afresh.
 
 The kernels are the xoshiro256++ fill (``rng``), the preferential-attachment
-loop and the ``CsrOperator`` product (``graph``) and the ``.dmat`` parser
-(``pipeline``). Each is built on its first use, never at import.
+loop and the ``CsrOperator`` product (``graph``), and the float formatter and
+the ``.dmat`` parser (``pipeline``). Each is built on its first use, never at
+import.
 """
 
 from __future__ import annotations

@@ -49,10 +49,6 @@ def _resolve_graph(args) -> graph.Graph:
     return graph.barabasi_albert(n, m, subseed(args.seed, 0))
 
 
-def _report_row(rep: metrics.MetricReport) -> list[str]:
-    return [pipeline._report_cell(getattr(rep, name)) for name in pipeline._REPORT_FIELDS]
-
-
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="path to a .grf graph file")
@@ -144,9 +140,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_toy(args) -> int:
     _, scenarios = experiments.toy_scenarios(seed=args.seed)
-    rows = [[sc.name] + _report_row(sc.report) for sc in scenarios]
-    header = ("scenario",) + pipeline._REPORT_FIELDS
-    print(pipeline._write_table(args.out, "toy_scenarios.csv", header, rows))
+    lines = pipeline._report_table([sc.report for sc in scenarios], "scenario",
+                                   [sc.name for sc in scenarios])
+    print(pipeline._write_table(args.out, "toy_scenarios.csv", lines))
     return EXIT_OK
 
 
@@ -179,8 +175,8 @@ def _cmd_metrics(args) -> int:
     g = graph.read_grf(args.graph)
     x = pipeline.load_matrix(args.features)
     rep = metrics.metric_suite(x, g, pipeline._direction(args.u, g))
-    print(",".join(pipeline._REPORT_FIELDS))
-    print(",".join(_report_row(rep)))
+    for line in pipeline._report_table([rep]):
+        print(line)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateSpectrum,
     DisconnectedGraph,
     InvalidParameter,
@@ -339,12 +338,13 @@ def rate_check_matrix(
         return math.sqrt(_e_proj(mat, u)) / denom
 
     def draw_weights() -> np.ndarray:
-        for _ in range(100):
+        # A draw is refused with probability of order 1e-8 (exactly 1e-8 at
+        # width 1), so the loop ends after one draw but for such odds.
+        while True:
             w = rng.matrix(width, width, -1.0, 1.0)
             sign, logdet = np.linalg.slogdet(w)
             if sign != 0.0 and logdet >= math.log(1e-8):
                 return w
-        raise ConvergenceFailure("could not draw an invertible weight matrix")
 
     ratios = [off_ratio(x)]
     for _ in range(depth):

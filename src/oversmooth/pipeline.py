@@ -2,7 +2,9 @@
 
 Matrices travel as `.dmat` text (header ``dmat 1 <rows> <cols>``, then one
 space-separated row per line, shortest round-trip float formatting so a
-write/read cycle is bit-exact) or as headerless rectangular CSV. A `.dmat`
+write/read cycle is bit-exact) or as headerless rectangular CSV. Every
+float the package writes goes through ``_float_text``, which prints it as
+repr does, with a cached C kernel or else with repr itself. A `.dmat`
 body is parsed by a cached C kernel when it can vouch for it, and otherwise
 by the Python reader ``_load_dmat``, its specification, with the same
 result. A run manifest is a JSON object describing one trained run: its
@@ -15,7 +17,6 @@ values at the final layer and the accuracies.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import json
 import math
 import os
@@ -51,12 +52,195 @@ CLAMP_FLOOR = 1e-15
 
 TRACE_COLUMNS = ("layer",) + CANONICAL_METRICS + ("frob_norm",)
 # Every MetricReport field in declaration order: the columns of a full report.
+# The last, skipped_mad_edges, is a count and is written as an integer.
 _REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
+
+
+# The float formatter: repr of every cell of a C-contiguous float64 (rows,
+# cols) array, cells joined by ``sep`` and rows by '\n', in C. A finite
+# nonzero value is c * 2^q with an integer c; an integer below 2^53 is its
+# own digits, and every other value gets its shortest digits by Schubfach
+# (Giulietti, "The Schubfach way to render doubles", 2020). With 10^k at
+# most the gap 2^q to its neighbours (3/4 of it at a power of two, whose
+# gap below is half the gap above), the value and both ends of its rounding
+# interval are products of c << h and a 126-bit power of ten, rounded to
+# odd, and compare exactly with the candidates s * 10^k and (s + 1) * 10^k
+# around the value and the multiples of 10^(k+1) around it. Of those inside
+# the interval (its ends included when c is even, as float() rounds ties to
+# even) it takes the multiple of 10^(k+1), else the nearer candidate, a tie
+# going to the even one. Java's Double.toString, which the published
+# algorithm serves, wants two digits and tries the shorter candidates only
+# from s >= 100; here they are always tried, so 5e-324 keeps one digit, as
+# repr prints it. repr's layout follows: fixed notation for decimal
+# exponents (of the leading digit) from -4 to 15, with '.0' on integral
+# values, and d.ddde[+-]XX otherwise; -0.0, nan (whatever its sign), inf and
+# -inf. A cell takes at most 24 bytes. ``G_TABLE`` is replaced by
+# ``_pow10_table()`` when the kernel is built; __uint128_t is a GCC/Clang
+# extension, and another compiler fails the build.
+_FORMAT_SOURCE = r"""
+#include <stdint.h>
+#include <string.h>
+static const uint64_t g[617][2] = {G_TABLE};
+
+/* g * cp / 2^127 for g = gk[0] 2^63 + gk[1], rounded to odd. */
+static uint64_t rop(const uint64_t *gk, uint64_t cp) {
+    uint64_t x1 = (uint64_t)(((__uint128_t)gk[1] * cp) >> 64);
+    __uint128_t y = (__uint128_t)gk[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    uint64_t vbp = (uint64_t)(y >> 64) + (z >> 63);
+    return vbp | (((z & 0x7FFFFFFFFFFFFFFF) + 0x7FFFFFFFFFFFFFFF) >> 63);
+}
+
+/* The shortest digits of c * 2^q, nearest first and even on a tie, into
+   *digits; returns their decimal exponent. */
+static int shortest(uint64_t c, int q, int irregular, uint64_t *digits) {
+    uint64_t out = c & 1, cb = c << 2, cbr = cb + 2, cbl = cb - 2 + irregular;
+    int k = irregular ? (int)((q * 661971961083LL - 274743187321LL) >> 41)
+                      : (int)((q * 661971961083LL) >> 41);
+    int h = q + (int)((-k * 913124641741LL) >> 38) + 2;
+    const uint64_t *gk = g[k + 324];
+    uint64_t vb = rop(gk, cb << h), vbl = rop(gk, cbl << h), vbr = rop(gk, cbr << h);
+    uint64_t s = vb >> 2, sp10 = s / 10 * 10, tp10 = sp10 + 10, t = s + 1;
+    int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
+    int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (upin != wpin) *digits = upin ? sp10 : tp10;
+    else if (uin != win) *digits = uin ? s : t;
+    else {
+        uint64_t mid = (s + t) << 1;
+        *digits = vb < mid || (vb == mid && !(s & 1)) ? s : t;
+    }
+    return k;
+}
+
+/* repr(v) at p; returns its end. */
+static char *format_one(double v, char *p) {
+    uint64_t bits, f;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t c = bits & (((uint64_t)1 << 52) - 1);
+    int be = (int)(bits >> 52) & 0x7FF, e = 0;
+    if (be == 0x7FF && c) { memcpy(p, "nan", 3); return p + 3; }
+    if (bits >> 63) *p++ = '-';
+    if (be == 0x7FF) { memcpy(p, "inf", 3); return p + 3; }
+    if (!be && !c) { memcpy(p, "0.0", 3); return p + 3; }
+    int q = be ? be - 1075 : -1074;
+    if (be) c |= (uint64_t)1 << 52;
+    if (q < 0 && q > -53 && !(c & (((uint64_t)1 << -q) - 1))) f = c >> -q;
+    else e = shortest(c, q, be > 1 && c == (uint64_t)1 << 52, &f);
+    while (f % 10 == 0) { f /= 10; e++; }
+    char d[20];
+    int n = 0;
+    for (; f; f /= 10) d[19 - n++] = (char)('0' + f % 10);
+    const char *digits = d + 20 - n;
+    int point = n + e;
+    if (point <= -4 || point > 16) {
+        *p++ = digits[0];
+        if (n > 1) { *p++ = '.'; memcpy(p, digits + 1, n - 1); p += n - 1; }
+        int x = point - 1;
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        if (x < 0) x = -x;
+        if (x >= 100) { *p++ = (char)('0' + x / 100); x %= 100; }
+        *p++ = (char)('0' + x / 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (point <= 0) {
+        *p++ = '0'; *p++ = '.';
+        memset(p, '0', -point); p += -point;
+        memcpy(p, digits, n); p += n;
+    } else if (point < n) {
+        memcpy(p, digits, point); p += point;
+        *p++ = '.';
+        memcpy(p, digits + point, n - point); p += n - point;
+    } else {
+        memcpy(p, digits, n); p += n;
+        memset(p, '0', point - n); p += point - n;
+        *p++ = '.'; *p++ = '0';
+    }
+    return p;
+}
+
+int64_t format_rows(const double *values, int64_t rows, int64_t cols, int64_t sep, char *out) {
+    char *p = out;
+    for (int64_t i = 0; i < rows; i++) {
+        if (i) *p++ = '\n';
+        for (int64_t j = 0; j < cols; j++) {
+            if (j) *p++ = (char)sep;
+            p = format_one(values[i * cols + j], p);
+        }
+    }
+    return p - out;
+}
+"""
+
+
+def _pow10_table() -> str:
+    """The C initializer of ``g``: for k = -324..292, floor(10^-k * 2^-r) + 1
+    with r the one integer that puts it in [2^125, 2^126), as (high, low)
+    63-bit halves. Not ``_pow5_table()``'s numbers: those are truncated to
+    128 bits, and a ceiling there differs in 9 entries."""
+    rows = []
+    for k in range(-324, 293):
+        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+        e = num.bit_length() - den.bit_length()
+        if (num << max(-e, 0)) < (den << max(e, 0)):
+            e -= 1
+        r = e - 125
+        g = (num << -r) // den + 1 if r < 0 else num // (den << r) + 1
+        rows.append(f"{{{g >> 63:#x}u, {g & (1 << 63) - 1:#x}u}}")
+    return ",".join(rows)
+
+
+# What the formatter must write exactly as repr before it is used: exact
+# ties (...2.25 and ...2.75 round to the even digit), the smallest
+# subnormal, the largest subnormal and the smallest normal, powers of two
+# (2^-1019 needs the asymmetric interval, 2^-25 ties to even), a subnormal
+# whose one digit is a shorter candidate below s = 100, interval ends that
+# count only for an even c, both sides of each layout switch, 1e22 and 1e23
+# around the exact powers of ten, the largest double, and the signs of
+# zero, nan and inf.
+_FORMAT_PROBE = (
+    2.0**49 + 0.25, 2.0**49 + 0.75, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    2.0**-1019, 2.0**-25, 1e-322, -2.165179314756559e16, 8.241325042065199e17,
+    9999999999999998.0, 1e16, 0.0001, 1e-05, 123456.0, -1.0 / 3.0,
+    1e22, 1e23, 1.7976931348623157e308, -0.0, float("nan"), -float("nan"), math.inf, -math.inf,
+)
+
+
+def _format_python(values: np.ndarray, sep: str) -> str:
+    """The formatter's fallback and specification: repr of every cell."""
+    return "\n".join(sep.join(map(repr, row)) for row in values.tolist())
+
+
+@kernel("float formatter", _format_python)
+def _format_kernel():
+    """The C formatter, built and checked against ``_format_python``."""
+    proto = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                             ctypes.c_int64, ctypes.c_void_p)
+    fn = load_function("format_rows", _FORMAT_SOURCE.replace("G_TABLE", _pow10_table()), proto)
+
+    def format_c(values: np.ndarray, sep: str) -> str:
+        rows, cols = values.shape
+        # At most 24 bytes a cell and one after it; untouched pages of the
+        # buffer are never resident.
+        out = np.empty(values.size * 25 + rows, np.uint8)
+        length = fn(values.ctypes.data, rows, cols, ord(sep), out.ctypes.data)
+        return str(memoryview(out)[:length], "ascii")
+
+    probe = np.array(_FORMAT_PROBE).reshape(4, 6)
+    if format_c(probe, " ") != _format_python(probe, " "):
+        raise NoKernel("self-check mismatch: the C formatter differs from repr")
+    return format_c
+
+
+def _float_text(values, sep: str = ",") -> str:
+    """The text of a (rows, cols) array of floats: each cell as repr writes
+    it (None as nan), cells joined by ``sep`` and rows by newlines. All
+    numeric text the package writes comes from here."""
+    return _format_kernel()(np.ascontiguousarray(values, dtype=np.float64), sep)
 
 
 def format_float(value) -> str:
     """Shortest decimal string that round-trips the float (NaN -> 'nan')."""
-    return repr(float(value))
+    return _float_text([[float(value)]])
 
 
 def write_matrix(m, path) -> None:
@@ -65,9 +249,7 @@ def write_matrix(m, path) -> None:
     Refuses what ``load_matrix`` would refuse: non-2-D, empty or non-finite.
     """
     m = as_matrix(m)
-    lines = [f"dmat 1 {m.shape[0]} {m.shape[1]}"]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in m)
-    write_lines(path, lines)
+    write_lines(path, [f"dmat 1 {m.shape[0]} {m.shape[1]}", _float_text(m, " ")])
 
 
 def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
@@ -504,26 +686,33 @@ def correlate(manifests, g: Graph) -> CorrelationReport:
     )
 
 
-def _report_cell(value) -> str:
-    """One CSV cell: 'nan' for an undefined value, counts as integers."""
-    if value is None:
-        return "nan"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _report_table(reports, key: str | None = None, labels=(), columns=_REPORT_FIELDS) -> list[str]:
+    """The CSV lines of ``reports``: a header, then one line per report.
 
-
-def _write_table(out_dir, name: str, header, rows) -> str:
-    """Write one CSV table (header, then rows of cells) under ``out_dir``.
-
-    ``rows`` may be a generator, so each row's cells are freed once joined.
+    With ``key``, each line starts with the report's label, and the header
+    with ``key``. An undefined value reads nan; the count
+    skipped_mad_edges stays an integer.
     """
+    counts = columns[-1] == "skipped_mad_edges"
+    floats = columns[:-1] if counts else columns
+    lines = []
+    if reports:
+        lines = _float_text([[getattr(rep, c) for c in floats] for rep in reports]).split("\n")
+    if counts:
+        lines = [f"{line},{rep.skipped_mad_edges}" for line, rep in zip(lines, reports)]
+    if key is None:
+        return [",".join(columns)] + lines
+    return [",".join((key,) + columns)] + [f"{label},{line}" for label, line in zip(labels, lines)]
+
+
+def _write_table(out_dir, name: str, lines) -> str:
+    """Write one CSV table, given as its lines, under ``out_dir``."""
     path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    write_lines(path, itertools.chain([",".join(header)], (",".join(cells) for cells in rows)))
+    write_lines(path, lines)
     return path
 
 
@@ -538,20 +727,19 @@ def write_report(out_dir, correlation=None, grid=None, traces=None) -> list[str]
     """
     written = []
     if correlation is not None:
-        rows = [(m, _report_cell(correlation.correlations[m])) for m in CANONICAL_METRICS]
-        written.append(_write_table(out_dir, "correlations.csv", ("metric", "r"), rows))
+        cells = _float_text([[correlation.correlations[m]] for m in CANONICAL_METRICS])
+        lines = ["metric,r"] + [f"{m},{r}" for m, r in zip(CANONICAL_METRICS, cells.split("\n"))]
+        written.append(_write_table(out_dir, "correlations.csv", lines))
     if grid is not None:
-        rows = [
-            (name, metric, "yes" if grid.verdicts[(name, metric)] else "no")
+        lines = ["row,metric,verdict"] + [
+            f"{name},{metric},{'yes' if grid.verdicts[(name, metric)] else 'no'}"
             for name in grid.config.rows
             for metric in CANONICAL_METRICS
         ]
-        written.append(_write_table(out_dir, "table3_grid.csv", ("row", "metric", "verdict"), rows))
+        written.append(_write_table(out_dir, "table3_grid.csv", lines))
     if traces is not None:
         for (label, seed) in sorted(traces):
-            rows = (
-                [str(layer)] + [_report_cell(getattr(rep, c)) for c in TRACE_COLUMNS[1:]]
-                for layer, rep in enumerate(traces[(label, seed)])
-            )
-            written.append(_write_table(out_dir, f"trace_{label}_{seed}.csv", TRACE_COLUMNS, rows))
+            reports = traces[(label, seed)]
+            lines = _report_table(reports, "layer", range(len(reports)), TRACE_COLUMNS[1:])
+            written.append(_write_table(out_dir, f"trace_{label}_{seed}.csv", lines))
     return written

@@ -80,6 +80,9 @@ KERNELS = {
                    ("= value;", "= -value;")),
     "csr": Kernel(graph, "_csr_kernel", "_CSR_SOURCE", ("void csr_matmul(", "no C here ("),
                   ("out[c] = -0.0;", "out[c] = 0.0;")),
+    "format": Kernel(pipeline, "_format_kernel", "_FORMAT_SOURCE",
+                     ("#include <stdint.h>", "no C here"),
+                     ("(vb == mid && !(s & 1))", "(vb == mid && (s & 1))")),
 }
 
 

@@ -23,18 +23,34 @@ TOY_HEADER = (
 )
 
 
-def test_module_entry_point_prints_usage():
-    # The child imports the package this process imported, installed or not.
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m oversmooth.cli *argv`` in a child that imports the package
+    this process imported, installed or not."""
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "oversmooth.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "oversmooth.cli", *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def test_module_entry_point_prints_usage():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: oversmooth")
     for command in ("synth", "toy", "rollout", "metrics", "correlate", "rate", "contraction"):
         assert command in proc.stdout
+
+
+def test_module_entry_point_exits_with_the_code_main_returns(tmp_path, capsys):
+    # --help exits inside argparse; these exit with what main returns.
+    argv = ["metrics", "--features", str(tmp_path / "x.dmat"), "--graph", str(tmp_path / "g.grf")]
+    proc = run_module(*argv)
+    assert main(argv) == EXIT_PARSE
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, "", capsys.readouterr().err)
+    proc = run_module("rate", "--ba", "12,2", "--depth", "60", "--seed", "3")
+    assert main(["rate", "--ba", "12,2", "--depth", "60", "--seed", "3"]) == EXIT_OK
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, capsys.readouterr().out, "")
 
 
 def test_toy_writes_scenario_table(tmp_path, capsys):

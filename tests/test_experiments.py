@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oversmooth import experiments, metrics
-from oversmooth.errors import DisconnectedGraph, InvalidParameter, RatioUnderflow, SeriesTooShort
+from oversmooth.errors import (
+    DegenerateSpectrum,
+    DisconnectedGraph,
+    InvalidParameter,
+    RatioUnderflow,
+    SeriesTooShort,
+)
 from oversmooth.experiments import (
     DECAY_WINDOW,
     ENERGY_FLOOR,
@@ -243,6 +249,29 @@ def test_rate_check_matrix_fit_window_invariants():
     # which read as instant alignment.
     with pytest.raises(RatioUnderflow, match="layer 1"):
         rate_check_matrix(np.diag([1.0, 1e-20]), width=1, depth=40)
+
+
+def _tiny_dominant(eigenvalue: float) -> np.ndarray:
+    # Dominant eigenvalue ``eigenvalue`` on e_0, and a nilpotent block that
+    # keeps the rest of layer 1 at norm ~1 and sends it to zero at layer 2.
+    return np.array([[eigenvalue, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+def test_rate_check_matrix_features_orthogonal_to_u_are_degenerate():
+    # The loop runs on a / 2, whose entry 5e-324 / 2 rounds to 0, so layer 1
+    # has no part at all along u = e_0.
+    with pytest.raises(DegenerateSpectrum, match="orthogonal"):
+        rate_check_matrix(_tiny_dominant(5e-324), width=2, depth=10)
+
+
+def test_rate_check_matrix_layer_whose_norm_underflows_is_aligned():
+    # At 1e-100 layer 1's part along u survives squaring (its ratio is about
+    # 1e100). Layer 2 is that part alone, about 1e-200, whose squares
+    # underflow, so its norm reads 0; it lies along u, an instant decay.
+    report = rate_check_matrix(_tiny_dominant(1e-100), width=2, depth=10)
+    assert report.measured_rate == 0.0
+    assert report.ratios[1] > 1e99
+    assert report.ratios[2:] == (0.0,)
 
 
 def test_rate_check_matrix_validation():

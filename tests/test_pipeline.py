@@ -408,8 +408,10 @@ def test_dmat_header_counts_reserve_nothing_before_the_body(tmp_path, monkeypatc
 def test_unusable_dmat_kernel_falls_back_with_one_warning(unusable_kernel, tmp_path):
     files = [tmp_path / "a.dmat", tmp_path / "b.dmat"]
     mats = [np.array([[0.1, -2.5], [1e300, 7.0]]), np.arange(12.0).reshape(4, 3) / 3.0]
+    # Written as text: write_matrix would build the formatter in the cache
+    # that each cause makes unusable.
     for path, m in zip(files, mats):
-        write_matrix(m, path)
+        path.write_text(_dmat_text(m))
     cause = unusable_kernel("dmat")
     with pytest.warns(RuntimeWarning) as record:
         loaded = [load_matrix(path) for path in files]
@@ -438,6 +440,93 @@ def test_dmat_self_check_catches_a_wrong_fast_path(name, fresh_kernels, monkeypa
     monkeypatch.setattr(pipeline, "_DMAT_SOURCE", pipeline._DMAT_SOURCE.replace(old, new))
     with pytest.warns(RuntimeWarning) as record:
         assert pipeline._dmat_kernel() is pipeline._vouch_for_none
+    assert len(record) == 1
+    assert "self-check mismatch" in str(record[0].message)
+
+
+def _dmat_text(m: np.ndarray) -> str:
+    # What write_matrix writes, from repr itself.
+    body = "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
+    return f"dmat 1 {m.shape[0]} {m.shape[1]}\n{body}"
+
+
+def _random_finite_doubles(count: int, seed: int) -> np.ndarray:
+    # Sign, biased exponent (0 to 2046, so subnormals and zeros too) and
+    # mantissa each uniform: every exponent is hit about count / 2047 times.
+    draw = np.random.default_rng(seed)
+    bits = ((draw.integers(0, 2, count, dtype=np.uint64) << np.uint64(63))
+            | (draw.integers(0, 2047, count, dtype=np.uint64) << np.uint64(52))
+            | draw.integers(0, 1 << 52, count, dtype=np.uint64))
+    return bits.view(np.float64)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("formatter", ["C kernel", "Python specification"])
+def test_write_matrix_is_repr_and_reads_back_every_bit(formatter, tmp_path, monkeypatch):
+    if formatter == "C kernel":
+        assert pipeline._format_kernel() is not pipeline._format_python
+    else:
+        monkeypatch.setattr(pipeline, "_format_kernel", lambda: pipeline._format_python)
+    # Every power of two and both ends of the subnormals join the sweep.
+    special = [2.0**k for k in range(-1074, 1024)] + [5e-324, 2.225073858507201e-308]
+    values = np.concatenate([_random_finite_doubles(200_000, 26), special, [-v for v in special]])
+    values = values[: values.size // 8 * 8].reshape(-1, 8)
+    path = tmp_path / "sweep.dmat"
+    write_matrix(values, path)
+    assert path.read_text() == _dmat_text(values)
+    assert load_matrix(path).tobytes() == values.tobytes()
+
+
+def test_float_text_lays_out_repr_cells():
+    cells = [[2.0**49 + 0.25, 2.0**49 + 0.75, 9999999999999998.0, 1e16],
+             [0.0001, 1e-05, -0.0, None], [math.inf, -math.inf, -math.nan, 1e23]]
+    assert pipeline._float_text(cells, ",") == (
+        "562949953421312.2,562949953421312.8,9999999999999998.0,1e+16\n"
+        "0.0001,1e-05,-0.0,nan\ninf,-inf,nan,1e+23"
+    )
+    assert format_float(-math.nan) == "nan"
+
+
+@pytest.mark.needs_cc
+def test_unusable_format_kernel_falls_back_with_one_warning(unusable_kernel, tmp_path):
+    mats = [np.array([[0.1, -2.5], [1e300, 5e-324]]), np.arange(12.0).reshape(4, 3) / 3.0]
+    want = [b"dmat 1 2 2\n0.1 -2.5\n1e+300 5e-324\n", b"dmat 1 4 3\n0.0 0.3333333333333333 "
+            b"0.6666666666666666\n1.0 1.3333333333333333 1.6666666666666667\n2.0 "
+            b"2.3333333333333335 2.6666666666666665\n3.0 3.3333333333333335 3.6666666666666665\n"]
+    cause = unusable_kernel("format")
+    with pytest.warns(RuntimeWarning) as record:
+        for k, m in enumerate(mats):
+            write_matrix(m, tmp_path / f"{k}.dmat")
+        assert format_float(1.0 / 3.0) == "0.3333333333333333"
+    assert len(record) == 1
+    assert cause in str(record[0].message)
+    assert record[0].filename == __file__
+    assert pipeline._format_kernel() is pipeline._format_python
+    assert [(tmp_path / f"{k}.dmat").read_bytes() for k in range(2)] == want
+
+
+# Wrong edits to one step of the formatter that its self-check on
+# ``_FORMAT_PROBE`` must catch.
+WRONG_FORMATS = {
+    "symmetric interval at powers of two": ("be > 1 && c == (uint64_t)1 << 52", "0"),
+    "ties to odd": ("(vb == mid && !(s & 1))", "(vb == mid && (s & 1))"),
+    "shorter candidates only from s >= 100": ("if (upin != wpin)", "if (s >= 100 && upin != wpin)"),
+    "interval ends always open": ("uint64_t out = c & 1,", "uint64_t out = 1,"),
+    "interval ends always closed": ("uint64_t out = c & 1,", "uint64_t out = 0,"),
+    "exponent notation from 1e15": ("point > 16", "point > 15"),
+    "fixed notation down to 1e-05": ("point <= -4", "point <= -5"),
+    "one exponent digit": ("*p++ = (char)('0' + x / 10);", "if (x >= 10) *p++ = (char)('0' + x / 10);"),
+}
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("name", sorted(WRONG_FORMATS))
+def test_format_self_check_catches_a_wrong_step(name, fresh_kernels, monkeypatch):
+    old, new = WRONG_FORMATS[name]
+    assert pipeline._FORMAT_SOURCE.count(old) == 1
+    monkeypatch.setattr(pipeline, "_FORMAT_SOURCE", pipeline._FORMAT_SOURCE.replace(old, new))
+    with pytest.warns(RuntimeWarning) as record:
+        assert pipeline._format_kernel() is pipeline._format_python
     assert len(record) == 1
     assert "self-check mismatch" in str(record[0].message)
 

@@ -1,6 +1,6 @@
 """Hash every output of a fixed set of CLI commands, to check byte identity.
 
-    python tools/golden.py --src <checkout>/src
+    python tools/golden.py --src <checkout>/src [--python-kernels]
 
 Each command runs in a fresh interpreter with ``--src`` first on the import
 path and OpenBLAS, OpenMP and MKL pinned to one thread, inside one temporary
@@ -19,7 +19,15 @@ Every command must exit 0 with an empty stderr, or with exactly the text
 ``STDERR`` expects of it: a warning or a traceback names the checkout's
 absolute path, and a command that fails the same way on both trees proves
 nothing. Any that does not is named on a ``FAILED`` line, and the script
-exits 1.
+exits 1. The set-up must exit 0 with an empty stderr too.
+
+With ``--python-kernels`` every process, the set-up included, gets a
+kernel cache directory that others may write to, which the package
+refuses, so each C kernel runs its Python specification. Its stderr may
+then also hold one fallback warning for each kernel it uses, and nothing
+else; the warnings are dropped before stderr is hashed, so the digest is
+the default run's when every kernel equals its specification. A run in
+which no process warned at all did not force anything, and fails.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -97,14 +106,26 @@ STDERR = {"rollout_gat_overflow": b"truncated at layer 5\n"}
 
 MAIN = "import sys; from oversmooth.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# A fallback warning as Python prints it: where it is attributed, the
+# message naming the kernel, then that line of source.
+FALLBACK = re.compile(rb"^[^\n]*:\d+: RuntimeWarning: ([^\n]*?) C kernel unavailable "
+                      rb"[^\n]*; running its Python specification\n(?:  [^\n]*\n)?", re.M)
 
-def _env(src: Path) -> dict:
+
+def _env(src: Path, cache: Path | None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
+    if cache is not None:
+        env["XDG_CACHE_HOME"] = str(cache)
     return env
+
+
+def _without_fallbacks(stderr: bytes) -> tuple[bytes, list[bytes]]:
+    """``stderr`` without its fallback warnings, and the kernels they name."""
+    return FALLBACK.sub(b"", stderr), FALLBACK.findall(stderr)
 
 
 def _header() -> list[str]:
@@ -120,30 +141,49 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden(src: Path) -> tuple[list[str], list[str]]:
+def golden(src: Path, python_kernels: bool = False) -> tuple[list[str], list[str]]:
     """The sorted hash and exit-code lines of one run of the command set, and
-    a ``FAILED`` line for each command that exited nonzero or wrote other
-    stderr than ``STDERR`` expects."""
-    env = _env(src)
+    a ``FAILED`` line for the set-up or each command that exited nonzero or
+    wrote other stderr than ``STDERR`` expects."""
     entries = []
     failed = []
+    fallbacks = []
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         root = Path(tmp)
         (root / "inputs").mkdir()
-        subprocess.run([sys.executable, "-c", SETUP], cwd=root, env=env, check=True)
-        for name, argv in COMMANDS.items():
-            done = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=root, env=env,
+        cache = None
+        if python_kernels:
+            cache = root / "cache"
+            (cache / "oversmooth").mkdir(parents=True)
+            (cache / "oversmooth").chmod(0o777)
+        env = _env(src, cache)
+
+        def run(name: str, code: str, *argv: str) -> subprocess.CompletedProcess:
+            done = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=env,
                                   capture_output=True)
-            entries.append((f"{name}.stdout", f"{_sha(done.stdout)}  {name}.stdout"))
-            entries.append((f"{name}.stderr", f"{_sha(done.stderr)}  {name}.stderr"))
-            entries.append((f"{name}.exit", f"exit={done.returncode}  {name}"))
+            kernels = []
+            if python_kernels:
+                done.stderr, kernels = _without_fallbacks(done.stderr)
+                fallbacks.extend(kernels)
             if done.returncode != 0 or done.stderr != STDERR.get(name, b""):
                 failed.append(f"FAILED  {name}: exit={done.returncode}, "
                               f"{len(done.stderr)} bytes of stderr")
+            elif len(set(kernels)) != len(kernels):
+                failed.append(f"FAILED  {name}: a kernel warned twice")
+            return done
+
+        run("setup", SETUP)
+        for name, argv in COMMANDS.items():
+            done = run(name, MAIN, *argv)
+            entries.append((f"{name}.stdout", f"{_sha(done.stdout)}  {name}.stdout"))
+            entries.append((f"{name}.stderr", f"{_sha(done.stderr)}  {name}.stderr"))
+            entries.append((f"{name}.exit", f"exit={done.returncode}  {name}"))
         for path in root.rglob("*"):
             if path.is_file():
                 rel = path.relative_to(root).as_posix()
                 entries.append((rel, f"{_sha(path.read_bytes())}  {rel}"))
+    if python_kernels and not fallbacks:
+        failed.append("FAILED  --python-kernels: no kernel fell back")
     return [line for _, line in sorted(entries)], failed
 
 
@@ -151,12 +191,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", required=True, type=Path,
                         help="the src directory of the checkout to hash")
+    parser.add_argument("--python-kernels", action="store_true",
+                        help="run each C kernel's Python specification instead")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "oversmooth" / "__init__.py").is_file():
         parser.error(f"{src} holds no oversmooth package")
-    lines, failed = golden(src)
-    for line in _header() + lines + failed:
+    lines, failed = golden(src, args.python_kernels)
+    header = _header() + ["# C kernels: Python specifications"] * args.python_kernels
+    for line in header + lines + failed:
         print(line)
     listing = "".join(line + "\n" for line in lines)
     print(f"digest  {_sha(listing.encode())}")
