@@ -331,8 +331,11 @@ def rate_check_matrix(
     x = rng.matrix(n, width, 0.0, 1.0)
 
     def off_ratio(mat: np.ndarray) -> float:
+        # Rescaled exactly, as in ``_unit``, so that no square underflows.
         coef = u @ mat
-        denom = math.sqrt(float(coef @ coef))
+        scale = pow2_scale(coef)
+        coef = coef / scale
+        denom = math.sqrt(float(coef @ coef)) * scale
         if denom == 0.0:
             raise DegenerateSpectrum("features are orthogonal to the dominant direction")
         return math.sqrt(_e_proj(mat, u)) / denom

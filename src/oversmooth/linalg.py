@@ -65,7 +65,7 @@ def singular_values(m) -> np.ndarray:
         m = m / scale[..., None, None]
     mt = np.swapaxes(m, -1, -2)
     gram = m @ mt if rows <= cols else mt @ m
-    gram = (gram + np.swapaxes(gram, -1, -2)) * 0.5
+    # eigvalsh reads one triangle; the product is symmetric as computed.
     try:
         vals = np.linalg.eigvalsh(gram)[..., ::-1]
     except np.linalg.LinAlgError as exc:
@@ -74,13 +74,12 @@ def singular_values(m) -> np.ndarray:
 
 
 def _spectrum(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a square matrix in descending magnitude (ties keep
-    LAPACK's order) and the matching unit eigenvector columns, from LAPACK's
-    general eigensolver. Raises ConvergenceFailure if LAPACK does not
-    converge. ``_dominant_eigenpair`` and ``_spectral_gap`` read one result,
-    so a caller that needs both solves once.
+    """Eigenvalues of a validated square matrix in descending magnitude
+    (ties keep LAPACK's order) and the matching unit eigenvector columns,
+    from LAPACK's general eigensolver. Raises ConvergenceFailure if LAPACK
+    does not converge. ``_dominant_eigenpair`` and ``_spectral_gap`` read
+    one result, so a caller that needs both solves once.
     """
-    a = as_square_matrix(a)
     try:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -95,7 +94,7 @@ def dominant_eigenpair(a) -> tuple[float, np.ndarray]:
 
     Raises DegenerateSpectrum when that eigenvalue is zero or not real.
     """
-    return _dominant_eigenpair(*_spectrum(a))
+    return _dominant_eigenpair(*_spectrum(as_square_matrix(a)))
 
 
 def _dominant_eigenpair(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -113,7 +112,7 @@ def spectral_gap(a) -> float:
     by magnitude; 0.0 for a 1x1 matrix. Raises DegenerateSpectrum when the
     dominant eigenvalue is zero.
     """
-    return _spectral_gap(_spectrum(a)[0])
+    return _spectral_gap(_spectrum(as_square_matrix(a))[0])
 
 
 def _spectral_gap(vals: np.ndarray) -> float:

@@ -152,9 +152,7 @@ def _prescale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _unscale_energy(value: float, scale: float) -> float:
     # Exact power-of-two rescale; an energy beyond the float range becomes an
-    # honest inf, and an exact zero must not turn into 0 * inf.
-    if value == 0.0 or scale == 1.0:
-        return value
+    # honest inf. The scale is at most 2^1023, so a zero stays zero.
     return (value * scale) * scale
 
 

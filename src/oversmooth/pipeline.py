@@ -17,6 +17,7 @@ values at the final layer and the accuracies.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -56,6 +57,30 @@ TRACE_COLUMNS = ("layer",) + CANONICAL_METRICS + ("frob_norm",)
 _REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
 
 
+@functools.cache
+def _pow5() -> tuple[int, ...]:
+    """5^q for q = -342..324 (entry q + 342), the integers both text kernels'
+    tables come from, as 128 bits normalized to [2^127, 2^128) by fast_float's
+    rule: 5^q truncated for q >= 0, and for q < 0 floor(2^b / 5^-q) + 1
+    truncated, with b = z + 127 for q >= -27 (so the ceiling) and b = 2z + 128
+    below, z the bit length of 5^-q."""
+    out = []
+    for q in range(-342, 325):
+        d = 5 ** abs(q)
+        z = d.bit_length()
+        c = d if q >= 0 else (1 << (z + 127 if q >= -27 else 2 * z + 128)) // d + 1
+        excess = c.bit_length() - 128
+        out.append(c >> excess if excess > 0 else c << -excess)
+    return tuple(out)
+
+
+def _spliced(source: str, name: str, values, half: int) -> str:
+    """``source`` with ``name`` replaced by the C initializer of ``values``:
+    ``{high, low}`` pairs, each value split at bit ``half``."""
+    pairs = (f"{{{v >> half:#x}u, {v & (1 << half) - 1:#x}u}}" for v in values)
+    return source.replace(name, ",".join(pairs))
+
+
 # The float formatter: repr of every cell of a C-contiguous float64 (rows,
 # cols) array, cells joined by ``sep`` and rows by '\n', in C. A finite
 # nonzero value is c * 2^q with an integer c; an integer below 2^53 is its
@@ -75,7 +100,7 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
 # exponents (of the leading digit) from -4 to 15, with '.0' on integral
 # values, and d.ddde[+-]XX otherwise; -0.0, nan (whatever its sign), inf and
 # -inf. A cell takes at most 24 bytes. ``G_TABLE`` is replaced by
-# ``_pow10_table()`` when the kernel is built; __uint128_t is a GCC/Clang
+# ``_pow10()``'s rows when the kernel is built; __uint128_t is a GCC/Clang
 # extension, and another compiler fails the build.
 _FORMAT_SOURCE = r"""
 #include <stdint.h>
@@ -172,21 +197,13 @@ int64_t format_rows(const double *values, int64_t rows, int64_t cols, int64_t se
 """
 
 
-def _pow10_table() -> str:
-    """The C initializer of ``g``: for k = -324..292, floor(10^-k * 2^-r) + 1
-    with r the one integer that puts it in [2^125, 2^126), as (high, low)
-    63-bit halves. Not ``_pow5_table()``'s numbers: those are truncated to
-    128 bits, and a ceiling there differs in 9 entries."""
-    rows = []
-    for k in range(-324, 293):
-        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
-        e = num.bit_length() - den.bit_length()
-        if (num << max(-e, 0)) < (den << max(e, 0)):
-            e -= 1
-        r = e - 125
-        g = (num << -r) // den + 1 if r < 0 else num // (den << r) + 1
-        rows.append(f"{{{g >> 63:#x}u, {g & (1 << 63) - 1:#x}u}}")
-    return ",".join(rows)
+def _pow10() -> list[int]:
+    """The rows of ``g``: for k = -324..292, floor(10^-k * 2^-r) + 1 with r
+    the one integer that puts the floor in [2^125, 2^126). 10^-k and 5^-k
+    differ by a power of two, so the floor is ``_pow5()``'s 5^-k cut to 126
+    bits, after taking 1 off the entries stored as ceilings."""
+    p = _pow5()
+    return [((p[342 - k] - (1 <= k <= 27)) >> 2) + 1 for k in range(-324, 293)]
 
 
 # What the formatter must write exactly as repr before it is used: exact
@@ -215,7 +232,7 @@ def _format_kernel():
     """The C formatter, built and checked against ``_format_python``."""
     proto = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_void_p)
-    fn = load_function("format_rows", _FORMAT_SOURCE.replace("G_TABLE", _pow10_table()), proto)
+    fn = load_function("format_rows", _spliced(_FORMAT_SOURCE, "G_TABLE", _pow10(), 63), proto)
 
     def format_c(values: np.ndarray, sep: str) -> str:
         rows, cols = values.shape
@@ -311,7 +328,7 @@ def _load_csv(lines: list[str]) -> np.ndarray:
 # Anything else (tabs, '\r', nan, hex, overflow, a wrong count, a locale whose
 # decimal point is not '.' on a token left to strtod) returns 0 and is left to
 # the Python reader. ``buf`` is a bytes object, so buf[len] is a NUL.
-# ``POW5_TABLE`` is replaced by ``_pow5_table()`` when the kernel is built.
+# ``POW5_TABLE`` is replaced by ``_pow5()``'s rows up to q = 308 when built.
 # __uint128_t and __builtin_clzll are GCC/Clang extensions: another compiler
 # fails the build, and the Python reader takes every file.
 _DMAT_SOURCE = r"""
@@ -414,25 +431,6 @@ int dmat_parse(const char *buf, int64_t start, int64_t len, int64_t rows, int64_
 """
 
 
-def _pow5_table() -> str:
-    """The C initializer of ``pow5``: for q = -342..308, 5^q as 128 bits
-    normalized to [2^127, 2^128), as (high, low) 64-bit halves, by
-    fast_float's rule. For q >= 0 it is 5^q truncated; for q < 0 it is
-    floor(2^b / 5^-q) + 1 truncated, with b = z + 127 for q >= -27 (so the
-    ceiling) and b = 2z + 128 below, z the bit length of 5^-q."""
-    rows = []
-    for q in range(-342, 309):
-        if q < 0:
-            z = (5 ** -q).bit_length()
-            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
-        else:
-            c = 5 ** q
-        excess = c.bit_length() - 128
-        c = c >> excess if excess > 0 else c << -excess
-        rows.append(f"{{{c >> 64:#x}u, {c & (1 << 64) - 1:#x}u}}")
-    return ",".join(rows)
-
-
 # Odd but valid spellings, blank and space-only lines, leading and trailing
 # spaces, no final newline, and values that stress rounding, subnormals and
 # underflow among them: what the kernel must parse exactly as ``_load_dmat``
@@ -456,7 +454,7 @@ def _dmat_kernel():
     """The C body walk, built and checked against ``_load_dmat``."""
     proto = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    fn = load_function("dmat_parse", _DMAT_SOURCE.replace("POW5_TABLE", _pow5_table()), proto)
+    fn = load_function("dmat_parse", _spliced(_DMAT_SOURCE, "POW5_TABLE", _pow5()[:651], 64), proto)
 
     def parse_c(data: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
         # Tokens are one byte or more, each after the first behind a

@@ -274,6 +274,19 @@ def test_rate_check_matrix_layer_whose_norm_underflows_is_aligned():
     assert report.ratios[2:] == (0.0,)
 
 
+def test_rate_check_matrix_aligned_part_whose_square_underflows_is_not_orthogonal():
+    # At 1e-170 layer 1's part along u squares to 0; its norm, taken after
+    # an exact rescale, still reads about 1e-170, so the ratio is about
+    # 1e170, and layer 2 (about 1e-340) is zero: an instant decay.
+    report = rate_check_matrix(_tiny_dominant(1e-170), width=4, depth=10, seed=1)
+    assert report.measured_rate == 0.0
+    assert 1e169 < report.ratios[1] < 1e171
+    assert report.ratios[2:] == (0.0,)
+    # At 5e-324 the part along u is lost outright, not merely tiny.
+    with pytest.raises(DegenerateSpectrum, match="orthogonal"):
+        rate_check_matrix(_tiny_dominant(5e-324), width=4, depth=10, seed=1)
+
+
 def test_rate_check_matrix_validation():
     a = np.eye(2)
     with pytest.raises(InvalidParameter):

@@ -3,6 +3,7 @@
 import decimal
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -529,6 +530,34 @@ def test_format_self_check_catches_a_wrong_step(name, fresh_kernels, monkeypatch
         assert pipeline._format_kernel() is pipeline._format_python
     assert len(record) == 1
     assert "self-check mismatch" in str(record[0].message)
+
+
+def _top_bits(x: Fraction, bits: int) -> int:
+    # floor(x * 2^-r) for the one integer r that puts it in [2^(bits-1), 2^bits).
+    r = x.numerator.bit_length() - x.denominator.bit_length() - bits
+    scaled = x / Fraction(2) ** r
+    if scaled >= 1 << bits:
+        scaled /= 2
+    return math.floor(scaled)
+
+
+def test_both_text_kernels_tables_are_exact_powers():
+    # No output sweep can hold a table entry, so the entries are held here.
+    # The parser's: 5^q cut to 128 bits, rounded up for q = -27..-1.
+    powers = pipeline._pow5()
+    assert len(powers) == 667 and powers is pipeline._pow5()
+    for q, p in zip(range(-342, 325), powers):
+        assert p - (-27 <= q <= -1) == _top_bits(Fraction(5) ** q, 128)
+    # The formatter's: floor(10^-k * 2^-r) + 1, that floor in [2^125, 2^126).
+    rows = pipeline._pow10()
+    assert len(rows) == 617
+    for k, g in zip(range(-324, 293), rows):
+        assert 1 << 125 <= g - 1 < 1 << 126
+        assert g - 1 == _top_bits(Fraction(10) ** -k, 126)
+    # Cutting the parser's ceilings without the correction is wrong in 9 places.
+    plain = [(powers[342 - k] >> 2) + 1 for k in range(-324, 293)]
+    assert [k for k, a, b in zip(range(-324, 293), plain, rows) if a != b] == [
+        2, 5, 6, 10, 12, 16, 18, 21, 23]
 
 
 def test_load_vector_accepts_row_or_column(tmp_path):
